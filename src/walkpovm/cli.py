@@ -81,13 +81,17 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
     raise ValidationError(f"unknown state {text!r}")
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_schedule(args) -> walk.CoinSchedule:
     if args.file is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                return walk.CoinSchedule.from_json(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read schedule file: {exc}") from exc
+        return walk.CoinSchedule.from_json(_read_text(args.file, "schedule file"))
     if args.scenario is None:
         raise ValidationError("either --scenario or --file is required")
     return povm.scenario_schedule(args.scenario, args.theta)
@@ -96,11 +100,7 @@ def _load_schedule(args) -> walk.CoinSchedule:
 def _load_config(path: str | None) -> experiment.ImperfectionConfig:
     if path is None or path == "none":
         return experiment.IDEAL
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return experiment.ImperfectionConfig.from_json(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"cannot read imperfection config: {exc}") from exc
+    return experiment.ImperfectionConfig.from_json(_read_text(path, "imperfection config"))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -199,10 +199,8 @@ def _cmd_extract(args) -> str:
         data = json.loads(result.to_json())
         data["residual"] = _round_sig(data["residual"], 6)
         for el in data["elements"]:
-            for row in el["matrix"]:
-                for cell in row:
-                    cell["re"] = _round_sig(cell["re"])
-                    cell["im"] = _round_sig(cell["im"])
+            el["matrix"] = [[{k: _round_sig(v) for k, v in cell.items()} for cell in row]
+                            for row in el["matrix"]]
         return _json_dump(data)
     lines = ["label,port,m00_re,m00_im,m01_re,m01_im,m10_re,m10_im,m11_re,m11_im,residual"]
     for e in result.elements:

@@ -19,7 +19,7 @@ import numpy as np
 from .optics import interferometers
 from .povm import usd_scenario, usd_state, usd_success_probability, build_circuit
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, L, R, ValidationError, WalkState
+from .walk import CoinSchedule, ValidationError, _step, coin_column, decoding
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,19 @@ class ImperfectionConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ImperfectionConfig":
-        try:
+        with decoding("imperfection config"):
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed imperfection config: {exc}") from exc
-        vis = {}
-        for key, v in data.get("visibilities", {}).items():
-            a, b = key.split("-")
-            vis[(int(a), int(b))] = float(v)
-        eff = {int(p): float(e) for p, e in data.get("port_efficiencies", {}).items()}
-        return cls(
-            visibilities=vis,
-            port_efficiencies=eff,
-            seed=int(data.get("seed", 0)),
-            imbalance_budget=float(data.get("imbalance_budget", 0.05)),
-        )
+            vis = {}
+            for key, v in data.get("visibilities", {}).items():
+                a, b = key.split("-")
+                vis[(int(a), int(b))] = float(v)
+            eff = {int(p): float(e) for p, e in data.get("port_efficiencies", {}).items()}
+            return cls(
+                visibilities=vis,
+                port_efficiencies=eff,
+                seed=int(data.get("seed", 0)),
+                imbalance_budget=float(data.get("imbalance_budget", 0.05)),
+            )
 
 
 IDEAL = ImperfectionConfig()
@@ -125,58 +123,35 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     Coherences pick up one factor of the relevant visibility per
     interferometer displacer they traverse, so a closed pair damps the
     recombined-path coherence by V^2.
+
+    Each walk step U goes through ``_step`` on rho's columns, then on the
+    columns of (U rho)^dag, giving U rho U^dag since rho is Hermitian.
     """
     if config is None:
         config = IDEAL
-    steps = schedule.steps
-    t_max = max(1, len(steps))
-    n_pos = 2 * t_max + 1
-    dim = 2 * n_pos
-
-    def idx(x: int, c: int) -> int:
-        return 2 * (x + t_max) + c
-
-    start = WalkState.from_coin_vector(coin_vector)
-    vec = np.zeros(dim, dtype=complex)
-    for (x, c), a in start.amplitudes.items():
-        vec[idx(x, c)] = a
-    rho = np.outer(vec, vec.conj())
-
     damping = {}
     for pair in interferometers(schedule):
         v = config.visibilities.get(pair, 1.0)
         for member in pair:
             damping[member] = damping.get(member, 1.0) * v
 
-    # cyclic shift permutation; support never reaches the wrap-around edge
-    dest = np.arange(dim)
-    for x in range(-t_max, t_max + 1):
-        dest[idx(x, R)] = idx(x + 1 if x < t_max else -t_max, R)
-        dest[idx(x, L)] = idx(x - 1 if x > -t_max else t_max, L)
-    inv = np.empty(dim, dtype=int)
-    inv[dest] = np.arange(dim)
+    t = schedule.n_steps
+    dim = 2 * (2 * t + 1)
+    psi = coin_column(coin_vector)
+    rho = np.zeros((2 * t + 1, 2, dim), dtype=complex)
+    rho[t, :, 2 * t:2 * t + 2] = np.outer(psi, psi.conj())
+    for s, coins in enumerate(schedule.steps, start=1):
+        _step(rho, coins, t)
+        rho = np.conjugate(rho.reshape(dim, dim).T, order="C").reshape(rho.shape)
+        _step(rho, coins, t)
+        if damping.get(s, 1.0) != 1.0:
+            flat = rho.reshape(dim, dim)
+            diag = flat.diagonal().copy()
+            flat *= damping[s]
+            np.fill_diagonal(flat, diag)
 
-    for s, coins in enumerate(steps, start=1):
-        if coins:
-            u = np.eye(dim, dtype=complex)
-            for x, m in coins.items():
-                i, j = idx(x, R), idx(x, L)
-                u[i, i], u[i, j] = m[0, 0], m[0, 1]
-                u[j, i], u[j, j] = m[1, 0], m[1, 1]
-            rho = u @ rho @ u.conj().T
-        rho = rho[np.ix_(inv, inv)]
-        v = damping.get(s)
-        if v is not None and v != 1.0:
-            diag = np.diag(np.diag(rho))
-            rho = diag + v * (rho - diag)
-
-    out = {}
-    for x in range(-t_max, t_max + 1):
-        if (x - len(steps)) % 2 != 0:
-            continue
-        p = rho[idx(x, R), idx(x, R)].real + rho[idx(x, L), idx(x, L)].real
-        out[x] = max(0.0, float(p))
-    return out
+    p = rho.reshape(dim, dim).diagonal().real.reshape(-1, 2).sum(axis=1)
+    return {x: max(0.0, float(p[x + t])) for x in range(-t, t + 1, 2)}
 
 
 def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:

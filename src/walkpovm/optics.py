@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, L, R, ValidationError, validate_coin
+from .walk import CoinSchedule, ValidationError, _step, validate_coin
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -290,18 +290,21 @@ def _is_mixing(m: np.ndarray, tol: float = 1e-12) -> bool:
     )
 
 
-def _step_reach(reach, coins):
-    """Propagate the reachable (position, coin) set through one walk step."""
-    after_coin = set()
-    for (x, c) in reach:
-        m = coins.get(x)
-        if m is None:
-            after_coin.add((x, c))
-            continue
-        for out in (R, L):
-            if abs(m[out, c]) > 1e-12:
-                after_coin.add((x, out))
-    return {(x + 1, R) if c == R else (x - 1, L) for (x, c) in after_coin}
+def _reach(schedule: CoinSchedule) -> list:
+    """Reachable (position, coin) masks from x = 0: before each step, then final.
+
+    Row x + T holds position x.  Each coin's pattern of entries above 1e-12
+    walks in its place as a boolean matrix: its product is an OR of ANDs,
+    which cannot cancel, so an entry is True exactly when some path reaches it.
+    """
+    t = schedule.n_steps
+    a = np.zeros((2 * t + 1, 2, 1), dtype=bool)
+    a[t] = True
+    masks = [a[:, :, 0].copy()]
+    for coins in schedule.steps:
+        _step(a, {x: np.abs(m) > 1e-12 for x, m in coins.items()}, t)
+        masks.append(a[:, :, 0].copy())
+    return masks
 
 
 def interferometers(schedule: CoinSchedule) -> list:
@@ -313,25 +316,18 @@ def interferometers(schedule: CoinSchedule) -> list:
     from the x = 0 start decides whether both components can actually be
     populated.
     """
-    reach = {(0, R), (0, L)}
-    pairs = []
-    for t, coins in enumerate(schedule.steps, start=1):
-        if t >= 3:
-            for x, m in coins.items():
-                if _is_mixing(m) and (x, R) in reach and (x, L) in reach:
-                    pair = (t - 2, t - 1)
-                    if pair not in pairs:
-                        pairs.append(pair)
-        reach = _step_reach(reach, coins)
-    return pairs
+    reach, origin = _reach(schedule), schedule.n_steps
+
+    def interferes(t, x, m):
+        return 0 <= x + origin <= 2 * origin and reach[t - 1][x + origin].all() and _is_mixing(m)
+
+    return [(t - 2, t - 1) for t, coins in enumerate(schedule.steps, start=1)
+            if t >= 3 and any(interferes(t, x, m) for x, m in coins.items())]
 
 
 def output_ports(schedule: CoinSchedule) -> list:
     """Positions reachable at the end of the walk from the x = 0 start."""
-    reach = {(0, R), (0, L)}
-    for coins in schedule.steps:
-        reach = _step_reach(reach, coins)
-    return sorted({x for (x, _c) in reach})
+    return (np.flatnonzero(_reach(schedule)[-1].any(axis=1)) - schedule.n_steps).tolist()
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:

@@ -19,12 +19,13 @@ import numpy as np
 from .tolerances import DEFAULT
 from .walk import (
     IDENTITY_COIN,
-    L,
     NOT_COIN,
-    R,
     CoinSchedule,
     ValidationError,
-    run,
+    _propagate,
+    complex_from_json,
+    complex_to_json,
+    decoding,
     validate_coin,
 )
 
@@ -95,15 +96,7 @@ class PovmSet:
     def to_json(self) -> str:
         payload = {
             "elements": [
-                {
-                    "label": e.label,
-                    "port": e.port,
-                    "matrix": [
-                        [{"re": e.matrix[r, c].real, "im": e.matrix[r, c].imag}
-                         for c in range(2)]
-                        for r in range(2)
-                    ],
-                }
+                {"label": e.label, "port": e.port, "matrix": complex_to_json(e.matrix)}
                 for e in self.elements
             ],
             "residual": self.completeness_residual,
@@ -112,16 +105,11 @@ class PovmSet:
 
     @classmethod
     def from_json(cls, text: str) -> "PovmSet":
-        data = json.loads(text)
-        elems = []
-        for raw in data["elements"]:
-            m = np.array(
-                [[complex(cell["re"], cell["im"]) for cell in row]
-                 for row in raw["matrix"]],
-                dtype=complex,
+        with decoding("POVM file"):
+            return cls.build(
+                PovmElement(complex_from_json(raw["matrix"]), raw["label"], raw["port"])
+                for raw in json.loads(text)["elements"]
             )
-            elems.append(PovmElement(m, raw["label"], raw["port"]))
-        return cls.build(elems)
 
 
 @dataclass(frozen=True)
@@ -134,10 +122,6 @@ class IterationPair:
     def __init__(self, c1, c2):
         object.__setattr__(self, "c1", validate_coin(c1, position=0))
         object.__setattr__(self, "c2", validate_coin(c2, position=1))
-
-
-def detection_ports(n_outcomes: int) -> list:
-    return [2 * k for k in range(n_outcomes)]
 
 
 def build_circuit(pairs) -> CoinSchedule:
@@ -155,19 +139,16 @@ def build_circuit(pairs) -> CoinSchedule:
 def extract_povm(schedule: CoinSchedule) -> PovmSet:
     """Recover the POVM a schedule implements.
 
-    Runs both coin basis states, assembles per-port Kraus maps K_x
-    (rows: final coin, columns: input basis) and returns E_x = K_x^dag K_x.
+    Walks both coin basis states in one pass, which yields the per-port
+    Kraus maps K_x (rows: final coin, columns: input basis), and returns
+    E_x = K_x^dag K_x for every port either input reaches.
     """
-    finals = [run(schedule, v) for v in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-    ports = sorted({x for st in finals for (x, _c) in st.amplitudes})
-    elements = []
-    for x in ports:
-        k = np.array(
-            [[finals[j].amplitude(x, c) for j in range(2)] for c in (R, L)],
-            dtype=complex,
-        )
-        elements.append(PovmElement(k.conj().T @ k, f"E{x}", x))
-    return PovmSet.build(elements)
+    t = schedule.n_steps
+    final = _propagate(schedule, IDENTITY_COIN)
+    ports = (np.flatnonzero(final.any(axis=(1, 2))) - t).tolist()
+    return PovmSet.build(
+        PovmElement(final[x + t].conj().T @ final[x + t], f"E{x}", x) for x in ports
+    )
 
 
 def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
@@ -196,9 +177,10 @@ def _peel(rows, tol_consistency: float) -> list:
         a = float(np.linalg.norm(g))
         if a > 1.0 + 1e-12:
             raise _OrderingInfeasible(a)
+        # normalise by the unclamped norm, so that r stays a unit row
+        r = g / a if a > 1e-12 else np.array([1.0 + 0j, 0.0 + 0j])
         a = min(a, 1.0)
         b = np.sqrt(max(0.0, 1.0 - a * a))
-        r = g / a if a > 1e-12 else np.array([1.0 + 0j, 0.0 + 0j])
         low = _orthonormal_completion(r)
         c1 = np.vstack([r, low])
         if b <= 1e-12:
@@ -370,18 +352,26 @@ def scenario_schedule(name: str, theta: float = None) -> CoinSchedule:
 def scenario_port_map(name: str, theta: float = None) -> dict:
     """Outcome->port assignment discovered by extraction, not assumed.
 
-    Ports are matched to the scenario's defining states by picking, for
-    each extracted effect, the state it is proportional to.
+    Trine and SIC ports are matched to the scenario's defining states by
+    picking, for each extracted effect, the state it is proportional to.
+    For "usd", "plus" is the port whose effect annihilates psi- (weight at
+    most ``DEFAULT.norm``) but not psi+, "minus" the mirror case and
+    "failure" the remaining port.
     """
     schedule = scenario_schedule(name, theta)
     extracted = extract_povm(schedule)
+    if name == "usd":
+        mapping = {}
+        for e in extracted.elements:
+            silent = [float((v.conj() @ e.matrix @ v).real) <= DEFAULT.norm
+                      for v in (usd_state(+1, theta), usd_state(-1, theta))]
+            outcome = {(False, True): "plus", (True, False): "minus"}.get(tuple(silent), "failure")
+            mapping[outcome] = e.port
+        return mapping
     if name == "trine":
         states = {i: trine_state(i) for i in (1, 2, 3)}
-    elif name == "sic":
-        states = {i: sic_state(i) for i in (1, 2, 3, 4)}
     else:
-        # conclusive ports carry the anti-state of the discarded input
-        return {"plus": 2, "minus": 0, "failure": 4}
+        states = {i: sic_state(i) for i in (1, 2, 3, 4)}
     mapping = {}
     for i, v in states.items():
         weight = 2.0 / len(states)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,17 @@ from walkpovm import cli
 from walkpovm.povm import IterationPair, build_circuit
 from walkpovm.walk import IDENTITY_COIN, CoinSchedule
 
+# the subprocess imports the same walkpovm as this process
+_PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "walkpovm.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -184,6 +191,16 @@ def test_extract_malformed_file_exit_1(tmp_path):
     result = run_cli("extract", "--file", str(bad))
     assert result.returncode == 1
     assert "position 0 in step 1" in result.stderr
+
+
+def test_extract_file_with_coin_missing_matrix_exit_1(tmp_path):
+    bad = tmp_path / "f.json"
+    bad.write_text('{"steps": [{"coins": [{"position": 0}]}]}')
+    result = run_cli("extract", "--file", str(bad))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed schedule file")
 
 
 # --- compile ---------------------------------------------------------------------

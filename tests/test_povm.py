@@ -337,3 +337,26 @@ def test_povmset_json_round_trip():
 def test_scenario_port_maps_match_reference_pattern():
     assert scenario_port_map("trine") == {1: 4, 2: 0, 3: 2}
     assert scenario_port_map("sic") == {1: 6, 2: 4, 3: 0, 4: 2}
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.3, 0.7, 1.2, np.pi / 2])
+def test_usd_port_map_is_derived_by_extraction(theta):
+    ports = scenario_port_map("usd", theta)
+    assert ports == {"plus": 2, "minus": 0, "failure": 4}
+    effects = {e.port: e.matrix for e in extract_povm(scenario_schedule("usd", theta)).elements}
+    plus, minus = usd_state(+1, theta), usd_state(-1, theta)
+    assert np.vdot(minus, effects[ports["plus"]] @ minus).real < 1e-12
+    assert np.vdot(plus, effects[ports["minus"]] @ plus).real < 1e-12
+    conclusive = np.vdot(plus, effects[ports["plus"]] @ plus).real
+    assert conclusive == pytest.approx(usd_success_probability(theta), rel=1e-9)
+
+
+def test_synthesize_seeded_targets_up_to_64_outcomes():
+    # six complete rank-1 targets for every n in [2, 64]; dividing the peeled
+    # row by its norm clamped to 1 once left the first coin of 2 of these
+    # 378 targets short of unitary
+    rng = np.random.default_rng(123)
+    for _ in range(6):
+        for n in range(2, 65):
+            mats = random_rank1_povm(rng, n)
+            _roundtrip(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))

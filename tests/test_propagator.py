@@ -1,0 +1,187 @@
+"""The array propagator against the reference engines in ``oracle.py``.
+
+Two families of random schedules:
+
+* 200 peel-off circuits from Haar-random ``IterationPair``s with n drawn
+  from [2, 64].  Their coins are dense, so every lattice site is
+  structurally reachable.
+* 100 short schedules of sparse coins (identity, diagonal, anti-diagonal
+  and Haar) at random positions, so that reachability, ports and
+  interferometers have structure to get wrong.
+
+Amplitudes, distributions and extracted effects agree within 1e-12; port
+and interferometer lists are equal exactly.  Each density comparison
+runs with visibilities 1, 0.97 and uniform in [0.5, 1].  The dense
+oracle costs O(T dim^3) (4.5 s at n = 64 on a 2-core x86 host), so the
+peel-off density comparison runs on the circuits with n <= 16 and the one
+nearest n = 40; seven larger circuits up to the largest n are held to
+the dict engine's distribution at visibility 1 and to being a
+distribution otherwise.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import oracle
+from conftest import random_unitary
+from walkpovm import experiment, optics, povm, walk
+from walkpovm.experiment import ImperfectionConfig
+
+TOL = 1e-12
+DENSE_ORACLE_MAX_N = 16
+
+
+def _unit_vector(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def _sparse_coin(rng):
+    phases = np.exp(2j * np.pi * rng.uniform(size=2))
+    kinds = (np.eye(2), np.diag(phases), np.diag(phases)[::-1], random_unitary(rng))
+    return kinds[int(rng.choice(4, p=[0.1, 0.2, 0.2, 0.5]))]
+
+
+@lru_cache(maxsize=None)
+def peel_off_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(2, 65))
+        pairs = [povm.IterationPair(random_unitary(rng), random_unitary(rng))
+                 for _ in range(n - 1)]
+        cases.append((n, povm.build_circuit(pairs), _unit_vector(rng)))
+    return cases
+
+
+@lru_cache(maxsize=None)
+def sparse_cases():
+    rng = np.random.default_rng(4048)
+    cases = []
+    for _ in range(100):
+        steps = []
+        for s in range(1, int(rng.integers(1, 13)) + 1):
+            where = rng.choice(np.arange(-s, s + 1), size=int(rng.integers(0, s + 2)), replace=False)
+            steps.append({int(x): _sparse_coin(rng) for x in where})
+        cases.append((walk.CoinSchedule(steps), _unit_vector(rng)))
+    return cases
+
+
+def all_schedules():
+    return [s for _n, s, _v in peel_off_cases()] + [s for s, _v in sparse_cases()]
+
+
+def all_runs():
+    return [(s, v) for _n, s, v in peel_off_cases()] + list(sparse_cases())
+
+
+def visibility_configs(schedule, rng):
+    pairs = optics.interferometers(schedule)
+    return [
+        ImperfectionConfig(),
+        ImperfectionConfig(visibilities={p: 0.97 for p in pairs}),
+        ImperfectionConfig(visibilities={p: float(rng.uniform(0.5, 1.0)) for p in pairs}),
+    ]
+
+
+def assert_same_amplitudes(got: walk.WalkState, want: walk.WalkState):
+    for key in set(got.amplitudes) | set(want.amplitudes):
+        assert abs(got.amplitude(*key) - want.amplitude(*key)) <= TOL, key
+
+
+def assert_same_distribution(got: dict, want: dict):
+    assert set(got) == set(want)
+    for x in want:
+        assert abs(got[x] - want[x]) <= TOL, x
+
+
+def test_case_families_cover_the_n_range():
+    ns = [n for n, _s, _v in peel_off_cases()]
+    assert len(ns) == 200 and min(ns) == 2 and max(ns) == 64
+    assert len(sparse_cases()) == 100
+
+
+def test_run_matches_dict_engine():
+    for schedule, v in all_runs():
+        got, want = walk.run(schedule, v), oracle.run(schedule, v)
+        assert_same_amplitudes(got, want)
+        got_dist = walk.position_distribution(got)
+        want_dist = walk.position_distribution(want)
+        for x in set(got_dist) | set(want_dist):
+            assert abs(got_dist.get(x, 0.0) - want_dist.get(x, 0.0)) <= TOL
+
+
+def test_extract_povm_matches_two_run_extraction():
+    for schedule in all_schedules():
+        got, want = povm.extract_povm(schedule), oracle.extract_povm(schedule)
+        assert [e.port for e in got.elements] == [e.port for e in want.elements]
+        for g, w in zip(got.elements, want.elements):
+            assert g.label == w.label
+            assert np.max(np.abs(g.matrix - w.matrix)) <= TOL
+        assert abs(got.completeness_residual - want.completeness_residual) <= TOL
+
+
+def test_ports_and_interferometers_match_set_reachability():
+    for schedule in all_schedules():
+        assert optics.output_ports(schedule) == oracle.output_ports(schedule)
+        assert optics.interferometers(schedule) == oracle.interferometers(schedule)
+
+
+def test_sparse_cases_exercise_reachability():
+    # with dense coins every site is reachable; the sparse family must not be
+    ports = [optics.output_ports(s) for s, _v in sparse_cases()]
+    lattice = [list(range(-s.n_steps, s.n_steps + 1, 2)) for s, _v in sparse_cases()]
+    assert sum(p != full for p, full in zip(ports, lattice)) >= 20
+    assert sum(bool(optics.interferometers(s)) for s, _v in sparse_cases()) >= 5
+
+
+def test_run_density_matches_dense_engine():
+    rng = np.random.default_rng(99)
+    runs = [(s, v) for n, s, v in peel_off_cases() if n <= DENSE_ORACLE_MAX_N]
+    runs.append(min(peel_off_cases(), key=lambda c: abs(c[0] - 40))[1:])
+    runs += list(sparse_cases())
+    assert len(runs) >= 130
+    for schedule, v in runs:
+        for config in visibility_configs(schedule, rng):
+            assert_same_distribution(experiment.run_density(schedule, v, config),
+                                     oracle.run_density(schedule, v, config))
+
+
+def test_run_density_on_large_circuits():
+    rng = np.random.default_rng(7)
+    large = sorted((c for c in peel_off_cases() if c[0] > DENSE_ORACLE_MAX_N), key=lambda c: c[0])
+    assert large[-1][0] == 64
+    for n, schedule, v in large[::-25]:
+        ideal, v097, uniform = (experiment.run_density(schedule, v, c)
+                                for c in visibility_configs(schedule, rng))
+        pure = walk.position_distribution(oracle.run(schedule, v))
+        for x, p in ideal.items():
+            assert abs(p - pure.get(x, 0.0)) <= TOL
+        for dist in (v097, uniform):
+            assert all(p >= 0.0 for p in dist.values())
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_coins_off_the_lattice_act_on_nothing():
+    base = povm.scenario_schedule("trine")
+    far = walk.CoinSchedule([{**coins, 100: walk.NOT_COIN, -100: walk.NOT_COIN}
+                             for coins in base.steps])
+    v = povm.trine_state(2)
+    assert walk.run(far, v) == walk.run(base, v)
+    assert optics.output_ports(far) == optics.output_ports(base)
+    assert optics.interferometers(far) == optics.interferometers(base)
+    cfg = ImperfectionConfig(visibilities={(1, 2): 0.9})
+    assert experiment.run_density(far, v, cfg) == experiment.run_density(base, v, cfg)
+
+
+def test_apply_coin_and_translate_match_dict_engine():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        amps = {(int(x), int(c)): complex(rng.normal(), rng.normal())
+                for x, c in zip(rng.integers(-6, 7, size=5), rng.integers(0, 2, size=5))}
+        state = walk.WalkState(amps)
+        coins = {int(x): _sparse_coin(rng) for x in rng.integers(-7, 8, size=3)}
+        assert_same_amplitudes(walk.apply_coin(state, coins), oracle.apply_coin(state, coins))
+        assert walk.translate(state) == oracle.translate(state)

@@ -16,7 +16,9 @@ from walkpovm.walk import (
     run,
     translate,
 )
-from walkpovm.povm import scenario_schedule, trine_state
+from walkpovm.experiment import ImperfectionConfig
+from walkpovm.povm import PovmSet, scenario_schedule, trine_state
+from walkpovm.walk import complex_from_json, complex_to_json, decoding
 
 HAD = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
 
@@ -95,6 +97,11 @@ def test_run_empty_schedule_keeps_input():
 def test_run_rejects_unnormalised_input():
     with pytest.raises(ValidationError, match="normalised"):
         run(CoinSchedule([]), np.array([1.0, 1.0]))
+
+
+def test_run_rejects_wrong_length_input():
+    with pytest.raises(ValidationError, match="2-vector"):
+        run(CoinSchedule([]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_position_distribution_trine():
@@ -205,3 +212,45 @@ def test_schedule_rejects_non_unitary_naming_step_and_position():
 def test_schedule_from_json_rejects_garbage():
     with pytest.raises(ValidationError, match="malformed"):
         CoinSchedule.from_json("{not json")
+
+
+def test_complex_codec_round_trip():
+    m = np.array([[0.6 + 0.8j, -1e-300], [2.5j, np.pi]])
+    cells = complex_to_json(m)
+    assert cells[0][0] == {"re": 0.6, "im": 0.8}
+    with decoding("test matrix"):
+        back = complex_from_json(json.loads(json.dumps(cells)))
+    assert back.dtype == complex and np.array_equal(back, m)
+    assert complex_to_json(1j) == {"re": 0.0, "im": 1.0}
+
+
+_CELL = '{"re": 1, "im": 0}'
+_GENERIC = ["{not json", "{}", "[]", "null", '"text"', "[[[" * 10000]
+_MALFORMED = (
+    [(CoinSchedule.from_json, text) for text in _GENERIC + [
+        '{"steps": [{"coins": [{"position": 0}]}]}',
+        '{"steps": [{"coins": [{"position": 0, "matrix": [[{"re": 1}]]}]}]}',
+        '{"steps": [{"coins": [{"position": 0, "matrix": "I"}]}]}',
+        '{"steps": [{"coins": [{"position": 0, "matrix": [[%s], [%s, %s]]}]}]}' % ((_CELL,) * 3),
+        '{"steps": [5]}',
+    ]]
+    + [(PovmSet.from_json, text) for text in _GENERIC + [
+        '{"elements": [{"label": "a", "port": 0}]}',
+        '{"elements": [{"label": "a", "port": null, "matrix": [[%s, %s], [%s, %s]]}]}' % ((_CELL,) * 4),
+        '{"elements": [{"label": "a", "port": 0, "matrix": [[{"re": "1", "im": 0}]]}]}',
+    ]]
+    + [(WalkState.from_json, text) for text in _GENERIC + [
+        '{"entries": [{"x": 0, "coin": "Q", "re": 1, "im": 0}]}',
+        '{"entries": [{"coin": "R", "re": 1, "im": 0}]}',
+        '{"entries": [{"x": 0, "coin": "R", "re": 1}]}',
+    ]]
+    + [(ImperfectionConfig.from_json, text) for text in ["{not json", "[]", '{"visibilities": {"1-2-3": 0.9}}',
+                                                          '{"port_efficiencies": {"x": 0.9}}']]
+)
+
+
+@pytest.mark.parametrize("decode,text", _MALFORMED,
+                         ids=[f"{d.__self__.__name__}-{i}" for i, (d, _t) in enumerate(_MALFORMED)])
+def test_malformed_json_is_a_validation_error(decode, text):
+    with pytest.raises(ValidationError, match="^malformed "):
+        decode(text)
