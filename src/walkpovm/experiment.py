@@ -1,10 +1,13 @@
 """Counting statistics and optical imperfections for walk measurements.
 
-``run_density`` evolves the full density matrix over (position, coin)
-and models finite interference contrast: at every displacer belonging
-to an interferometer with visibility V, off-diagonal coherences are
-multiplied by V.  With all visibilities at 1 it reproduces the ideal
-pure-state probabilities exactly.  ``sample_counts`` adds multinomial
+``run_density`` evolves the density matrix over (position, coin) and
+models finite interference contrast: at every displacer belonging to an
+interferometer with visibility V, off-diagonal coherences are multiplied
+by V.  It keeps R and L in frames that move with the beam displacer, so
+the conditional shift changes no data; a step rewrites only its coins'
+rows and columns and, when it dephases, the light-cone block the walker
+occupies.  With all visibilities at 1 it reproduces the ideal pure-state
+probabilities exactly.  ``sample_counts`` adds multinomial
 shot noise with a seeded, portable generator, and
 ``apply_efficiencies`` models per-port detector imbalance.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from .optics import interferometers
 from .povm import usd_scenario, usd_state, usd_success_probability, build_circuit
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _step, coin_column, decoding
+from .walk import CoinSchedule, ValidationError, coin_column, decoding
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,14 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     interferometer displacer they traverse, so a closed pair damps the
     recombined-path coherence by V^2.
 
-    Each walk step U goes through ``_step`` on rho's columns, then on the
-    columns of (U rho)^dag, giving U rho U^dag since rho is Hermitian.
+    rho is one flat dim x dim array, dim = 2(2T + 1), with R and L in
+    frames that move with the displacer: after s steps the R component at
+    x has index x - s + 2T and the L component has index 2T + 1 + x + s,
+    so the shift moves no data.  Before step s the walker occupies
+    [-(s-1), s-1], and after it R occupies [2-s, s] and L [-s, s-2]; both
+    are the index block [2T + 2 - 2s, 2T + 2s).  A coin at x touches its
+    two rows and two columns within that block, and dephasing touches the
+    block only.
     """
     if config is None:
         config = IDEAL
@@ -138,20 +147,24 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     t = schedule.n_steps
     dim = 2 * (2 * t + 1)
     psi = coin_column(coin_vector)
-    rho = np.zeros((2 * t + 1, 2, dim), dtype=complex)
-    rho[t, :, 2 * t:2 * t + 2] = np.outer(psi, psi.conj())
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[2 * t:2 * t + 2, 2 * t:2 * t + 2] = np.outer(psi, psi.conj())
     for s, coins in enumerate(schedule.steps, start=1):
-        _step(rho, coins, t)
-        rho = np.conjugate(rho.reshape(dim, dim).T, order="C").reshape(rho.shape)
-        _step(rho, coins, t)
-        if damping.get(s, 1.0) != 1.0:
-            flat = rho.reshape(dim, dim)
-            diag = flat.diagonal().copy()
-            flat *= damping[s]
-            np.fill_diagonal(flat, diag)
+        lo, hi = 2 * t + 2 - 2 * s, 2 * t + 2 * s
+        for x, m in coins.items():
+            if abs(x) < s:
+                rl = slice(2 * t + x - s + 1, 2 * t + x + s + 1, 2 * s - 1)
+                rho[rl, lo:hi] = m @ rho[rl, lo:hi]
+                rho[lo:hi, rl] = rho[lo:hi, rl] @ m.conj().T
+        v = damping.get(s, 1.0)
+        if v != 1.0:
+            block = rho[lo:hi, lo:hi]
+            diag = block.diagonal().copy()
+            block *= v
+            np.fill_diagonal(block, diag)
 
-    p = rho.reshape(dim, dim).diagonal().real.reshape(-1, 2).sum(axis=1)
-    return {x: max(0.0, float(p[x + t])) for x in range(-t, t + 1, 2)}
+    p = rho.diagonal().real
+    return {x: max(0.0, float(p[x + t] + p[2 * t + 1 + x + t])) for x in range(-t, t + 1, 2)}
 
 
 def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:

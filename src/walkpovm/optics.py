@@ -316,7 +316,11 @@ def interferometers(schedule: CoinSchedule) -> list:
     from the x = 0 start decides whether both components can actually be
     populated.
     """
-    reach, origin = _reach(schedule), schedule.n_steps
+    return _interferometers(schedule, _reach(schedule))
+
+
+def _interferometers(schedule: CoinSchedule, reach: list) -> list:
+    origin = schedule.n_steps
 
     def interferes(t, x, m):
         return 0 <= x + origin <= 2 * origin and reach[t - 1][x + origin].all() and _is_mixing(m)
@@ -327,7 +331,11 @@ def interferometers(schedule: CoinSchedule) -> list:
 
 def output_ports(schedule: CoinSchedule) -> list:
     """Positions reachable at the end of the walk from the x = 0 start."""
-    return (np.flatnonzero(_reach(schedule)[-1].any(axis=1)) - schedule.n_steps).tolist()
+    return _output_ports(schedule, _reach(schedule))
+
+
+def _output_ports(schedule: CoinSchedule, reach: list) -> list:
+    return (np.flatnonzero(reach[-1].any(axis=1)) - schedule.n_steps).tolist()
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
@@ -337,11 +345,12 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
         for x in sorted(coins):
             for p in decompose(coins[x]):
                 plates.append(replace(p, position=x, step=s))
+    reach = _reach(schedule)
     return OpticalNetlist(
         displacers=schedule.n_steps,
         plates=tuple(plates),
-        ports=tuple(output_ports(schedule)),
-        interferometers=tuple(interferometers(schedule)),
+        ports=tuple(_output_ports(schedule, reach)),
+        interferometers=tuple(_interferometers(schedule, reach)),
     )
 
 

@@ -64,9 +64,19 @@ class PovmElement:
             raise ValidationError(f"element {label}: matrix is not Hermitian")
         if np.linalg.eigvalsh(m)[0] < tol_psd:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
+        self._store(m, label, port)
+
+    def _store(self, m: np.ndarray, label: str, port: int) -> None:
         object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "port", int(port))
+
+    @classmethod
+    def _of_kraus(cls, kraus: np.ndarray, label: str, port: int) -> "PovmElement":
+        """The effect K^dag K of a Kraus map K, PSD by construction, so left unchecked."""
+        element = cls.__new__(cls)
+        element._store(kraus.conj().T @ kraus, label, port)
+        return element
 
     @property
     def weight(self) -> float:
@@ -147,7 +157,7 @@ def extract_povm(schedule: CoinSchedule) -> PovmSet:
     final = _propagate(schedule, IDENTITY_COIN)
     ports = (np.flatnonzero(final.any(axis=(1, 2))) - t).tolist()
     return PovmSet.build(
-        PovmElement(final[x + t].conj().T @ final[x + t], f"E{x}", x) for x in ports
+        PovmElement._of_kraus(final[x + t], f"E{x}", x) for x in ports
     )
 
 

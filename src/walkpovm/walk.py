@@ -6,9 +6,11 @@ conditional shift and doubles as horizontal polarisation; index 1 ("L")
 moves left / vertical.  All operations are pure functions on immutable
 values, so states can be shared freely between threads.
 
-``_step`` is the one propagator: pure states, Kraus maps, density matrices
-and reachability masks all walk through it as (position, coin, batch)
-arrays.  Complex values cross JSON as ``{"re", "im"}`` cells only.
+``_step`` is the one propagator for pure states, Kraus maps and
+reachability masks, which all walk through it as (position, coin, batch)
+arrays; ``experiment.run_density`` keeps the density matrix in moving
+frames instead, where the shift is an index change.  Complex values cross
+JSON as ``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations

@@ -11,7 +11,10 @@ Two families of random schedules:
 
 Amplitudes, distributions and extracted effects agree within 1e-12; port
 and interferometer lists are equal exactly.  Each density comparison
-runs with visibilities 1, 0.97 and uniform in [0.5, 1].  The dense
+runs with visibilities 1, 0.97, uniform in [0.5, 1] and 0.  A few
+hand-made schedules probe the edges of the moving-frame density layout:
+one step, stray coins outside the light cone or on the wrong parity, and
+a support that reaches both ends of the lattice.  The dense
 oracle costs O(T dim^3) (4.5 s at n = 64 on a 2-core x86 host), so the
 peel-off density comparison runs on the circuits with n <= 16 and the one
 nearest n = 40; seven larger circuits up to the largest n are held to
@@ -83,6 +86,7 @@ def visibility_configs(schedule, rng):
         ImperfectionConfig(),
         ImperfectionConfig(visibilities={p: 0.97 for p in pairs}),
         ImperfectionConfig(visibilities={p: float(rng.uniform(0.5, 1.0)) for p in pairs}),
+        ImperfectionConfig(visibilities={p: 0.0 for p in pairs}),
     ]
 
 
@@ -154,14 +158,60 @@ def test_run_density_on_large_circuits():
     large = sorted((c for c in peel_off_cases() if c[0] > DENSE_ORACLE_MAX_N), key=lambda c: c[0])
     assert large[-1][0] == 64
     for n, schedule, v in large[::-25]:
-        ideal, v097, uniform = (experiment.run_density(schedule, v, c)
-                                for c in visibility_configs(schedule, rng))
+        ideal, *damped = (experiment.run_density(schedule, v, c)
+                          for c in visibility_configs(schedule, rng))
         pure = walk.position_distribution(oracle.run(schedule, v))
         for x, p in ideal.items():
             assert abs(p - pure.get(x, 0.0)) <= TOL
-        for dist in (v097, uniform):
+        for dist in damped:
             assert all(p >= 0.0 for p in dist.values())
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+def _stray_coins(schedule, rng):
+    """The schedule plus a Haar coin on every free site that holds no amplitude.
+
+    Before step s the walker sits on [-(s-1), s-1] at the parity of s - 1,
+    so a site of the other parity or with |x| >= s (still within +/-T) is empty.
+    """
+    t = schedule.n_steps
+    return walk.CoinSchedule([
+        {**coins, **{x: random_unitary(rng) for x in range(-t, t + 1)
+                     if x not in coins and ((x - s) % 2 == 0 or abs(x) >= s)}}
+        for s, coins in enumerate(schedule.steps, start=1)
+    ])
+
+
+def edge_schedules():
+    rng = np.random.default_rng(505)
+    h = povm.HADAMARD_LIKE
+    peel = povm.build_circuit([povm.IterationPair(random_unitary(rng), random_unitary(rng))
+                               for _ in range(4)])
+    one_step = walk.CoinSchedule([{0: random_unitary(rng)}])
+    # one interferometer (1, 2); the paths never flipped run out to +/-T
+    to_both_ends = walk.CoinSchedule([{0: h}, {-1: h, 1: h}, {0: h}] + [{}] * 5)
+    return {
+        "one-step": (one_step, None),
+        "one-step-stray": (_stray_coins(one_step, rng), one_step),
+        "peel-off-stray": (_stray_coins(peel, rng), peel),
+        "support-to-both-ends": (to_both_ends, None),
+    }
+
+
+@pytest.mark.parametrize("name", list(edge_schedules()))
+def test_run_density_edge_schedules(name):
+    schedule, without_strays = edge_schedules()[name]
+    rng = np.random.default_rng(11)
+    v = _unit_vector(rng)
+    for config in visibility_configs(schedule, rng):
+        got = experiment.run_density(schedule, v, config)
+        assert_same_distribution(got, oracle.run_density(schedule, v, config))
+        if without_strays is not None:
+            assert got == experiment.run_density(without_strays, v, config)
+    t = schedule.n_steps
+    if name == "support-to-both-ends":
+        assert optics.interferometers(schedule) == [(1, 2)]
+        assert got[-t] > 0.01 and got[t] > 0.01
 
 
 def test_coins_off_the_lattice_act_on_nothing():
