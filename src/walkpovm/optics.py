@@ -32,11 +32,11 @@ import numpy as np
 from .tolerances import DEFAULT
 from .walk import CoinSchedule, ValidationError, _step, validate_coin
 
-_SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_SIGMA = np.array([
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], dtype=complex)
 
 # tolerance for the SO(3) pattern tests inside decompose; final results
 # are always re-verified against the unitary at DEFAULT.plate_product
@@ -156,13 +156,8 @@ def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 def _so3(u: np.ndarray) -> np.ndarray:
     """Bloch-sphere rotation of a 2x2 unitary (insensitive to global phase)."""
-    r = np.empty((3, 3))
-    udag = u.conj().T
-    for j in range(3):
-        sj_u = _SIGMA[j] @ u
-        for k in range(3):
-            r[j, k] = 0.5 * np.trace(sj_u @ _SIGMA[k] @ udag).real
-    return r
+    # r[j, k] = tr(sigma_j u sigma_k u^dag) / 2
+    return 0.5 * np.einsum("jab,bc,kcd,ad->jk", _SIGMA, u, _SIGMA, u.conj()).real
 
 
 def _canonical_hwp_angle(sin2b: float, cos2b: float) -> float:

@@ -6,12 +6,20 @@ second coin at x = 1 together with a NOT at x = -1, and shifts again.
 Each iteration routes one outcome's amplitude onto a dedicated
 detection port (an even position); whatever remains at x = 0 after the
 last iteration is the final outcome.
+
+``synthesize`` builds these pairs in one pass over the outcomes in their
+given order (Kurzynski & Wojcik, PRL 110, 200404 (2013)).  The rows f_i
+of a rank-1 target, with E_i = f_i^dag f_i, stack into an n x 2
+isometry.  Each iteration peels the next row and rewrites the remaining
+rows in the frame the walker's residual state moves to, so the rows stay
+an isometry and every peel is feasible.  Outcome i leaves at port
+2(n-1-i); no outcome ordering is searched.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +43,16 @@ _TILT = np.sqrt(1.0 / 3.0) * np.array(
 )
 
 
-class SynthesisInfeasibleError(RuntimeError):
-    """No outcome ordering admits the peel-off construction."""
+class SynthesisInfeasibleError(ValidationError):
+    """A synthesised circuit does not reproduce one target element."""
 
-    def __init__(self, max_a: float):
+    def __init__(self, label: str, deviation: float):
         super().__init__(
-            f"peel-off synthesis infeasible for every outcome ordering "
-            f"(largest row norm encountered: {max_a:.6g} > 1)"
+            f"element {label}: the synthesised circuit reproduces it only within "
+            f"{deviation:.3g} (round-trip tolerance {DEFAULT.synthesis_roundtrip:g})"
         )
-        self.max_a = max_a
+        self.label = label
+        self.deviation = deviation
 
 
 @dataclass(frozen=True)
@@ -171,37 +180,6 @@ def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
     return comp
 
 
-class _OrderingInfeasible(Exception):
-    def __init__(self, a: float):
-        self.a = a
-
-
-def _peel(rows, tol_consistency: float) -> list:
-    """Peel-off recursion over the accumulated residual matrix."""
-    pairs = []
-    m = np.eye(2, dtype=complex)
-    for f in rows[:-1]:
-        g = f @ np.linalg.pinv(m)
-        if np.max(np.abs(g @ m - f)) > tol_consistency:
-            raise _OrderingInfeasible(np.inf)
-        a = float(np.linalg.norm(g))
-        if a > 1.0 + 1e-12:
-            raise _OrderingInfeasible(a)
-        # normalise by the unclamped norm, so that r stays a unit row
-        r = g / a if a > 1e-12 else np.array([1.0 + 0j, 0.0 + 0j])
-        a = min(a, 1.0)
-        b = np.sqrt(max(0.0, 1.0 - a * a))
-        low = _orthonormal_completion(r)
-        c1 = np.vstack([r, low])
-        if b <= 1e-12:
-            c2 = IDENTITY_COIN
-        else:
-            c2 = np.array([[a, b], [b, -a]], dtype=complex)
-        pairs.append(IterationPair(c1, c2))
-        m = np.vstack([low @ m, b * (r @ m)])
-    return pairs
-
-
 def _rank_one_row(element: PovmElement, tol: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(element.matrix)
     if vals[0] > tol:
@@ -210,45 +188,53 @@ def _rank_one_row(element: PovmElement, tol: float) -> np.ndarray:
     return np.sqrt(w) * vecs[:, 1].conj()
 
 
-def synthesize(target: PovmSet,
-               tol: float = DEFAULT.synthesis_roundtrip):
-    """Find iteration pairs realising a rank-1 POVM, plus the outcome->port map.
+def synthesize(target: PovmSet):
+    """Iteration pairs realising a rank-1 POVM, plus the outcome->port map.
 
-    Outcomes are peeled in the given order when feasible; if some ordering
-    step would need a row norm above 1, other outcome orderings are tried
-    before reporting infeasibility.  The returned circuit is verified by
-    round-tripping through ``extract_povm``.
+    Iteration k peels row g_k with c1 = [r; low], r = g_k / |g_k|.  The
+    rows after k keep their component along low and have their component
+    along r, of norm b, scaled to unit norm.  c2 = [[a, b], [b, -a]] with
+    (a, b) = (|g_k|, b) normalised, or the identity when b is negligible;
+    taking b from the rows rather than from sqrt(1 - a^2) keeps coins and
+    rows consistent when a^2 + b^2 is off 1 by rounding or by up to the
+    completeness gate.  Outcome i goes to port 2(n-1-i).  The circuit is
+    verified by round-tripping through ``extract_povm``.
     """
-    if target.completeness_residual >= DEFAULT.completeness:
-        raise ValidationError(
-            f"target POVM is not complete (residual {target.completeness_residual:.3g})"
-        )
     n = len(target.elements)
     if n < 2:
         raise ValidationError("a POVM needs at least two outcomes")
-    rows = [_rank_one_row(e, DEFAULT.rank_one) for e in target.elements]
+    g = np.array([_rank_one_row(e, DEFAULT.rank_one) for e in target.elements])
+    # the residual of the rows actually peeled, not the one the target carries
+    residual = float(np.linalg.norm(g.conj().T @ g - np.eye(2), ord=2))
+    if residual >= DEFAULT.completeness:
+        raise ValidationError(f"target POVM is not complete (residual {residual:.3g})")
 
-    max_a = 1.0
-    for order in itertools.permutations(range(n)):
-        try:
-            pairs = _peel([rows[i] for i in order], tol)
-        except _OrderingInfeasible as exc:
-            if np.isfinite(exc.a):
-                max_a = max(max_a, exc.a)
-            continue
-        assignment = {}
-        for slot, idx in enumerate(order):
-            port = 2 * (n - 1 - slot)
-            assignment[target.elements[idx].label] = port
-        extracted = extract_povm(build_circuit(pairs))
-        produced = {e.port: e.matrix for e in extracted.elements}
-        ok = all(
-            np.max(np.abs(produced.get(assignment[e.label], np.zeros((2, 2))) - e.matrix)) <= tol
-            for e in target.elements
-        )
-        if ok:
-            return pairs, assignment
-    raise SynthesisInfeasibleError(max_a)
+    pairs = []
+    for k in range(n - 1):
+        a = float(np.linalg.norm(g[k]))
+        r = g[k] / a if a > DEFAULT.norm else np.array([1.0 + 0j, 0.0 + 0j])
+        low = _orthonormal_completion(r)
+        rest = g[k + 1:] @ np.array([low, r]).conj().T
+        c = float(np.linalg.norm(rest[:, 1]))
+        h = math.hypot(a, c) or 1.0
+        a, b = a / h, c / h
+        if b <= DEFAULT.norm:
+            c2 = IDENTITY_COIN
+            rest[:, 1] = 0.0
+        else:
+            c2 = np.array([[a, b], [b, -a]], dtype=complex)
+            rest[:, 1] /= c
+        pairs.append(IterationPair(np.vstack([r, low]), c2))
+        g[k + 1:] = rest
+
+    assignment = {e.label: 2 * (n - 1 - i) for i, e in enumerate(target.elements)}
+    produced = {e.port: e.matrix for e in extract_povm(build_circuit(pairs)).elements}
+    for e in target.elements:
+        deviation = float(np.max(np.abs(
+            produced.get(assignment[e.label], np.zeros((2, 2))) - e.matrix)))
+        if deviation > DEFAULT.synthesis_roundtrip:
+            raise SynthesisInfeasibleError(e.label, deviation)
+    return pairs, assignment
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ propagator in ``walkpovm.walk`` replaced them, kept as they were:
 * the set-based reachability ``_step_reach`` behind ``output_ports`` and
   ``interferometers``;
 * the dense ``run_density``, which builds the full dim x dim step
-  unitary and permutes the density matrix with ``np.ix_``.
+  unitary and permutes the density matrix with ``np.ix_``;
+* ``so3``, the Bloch rotation of a coin as nine separate traces, which
+  ``optics._so3`` now forms as one contraction.
 
 ``tests/test_propagator.py`` holds the package to these on random
 schedules.  They are slow by design (``run_density`` is O(T dim^3)) and
@@ -18,7 +20,7 @@ are not part of the package.
 import numpy as np
 
 from walkpovm.experiment import IDEAL
-from walkpovm.optics import _is_mixing
+from walkpovm.optics import _SIGMA, _is_mixing
 from walkpovm.povm import PovmElement, PovmSet
 from walkpovm.walk import L, R, WalkState, validate_coin
 
@@ -179,3 +181,14 @@ def run_density(schedule, coin_vector, config=None) -> dict:
         p = rho[idx(x, R), idx(x, R)].real + rho[idx(x, L), idx(x, L)].real
         out[x] = max(0.0, float(p))
     return out
+
+
+def so3(u: np.ndarray) -> np.ndarray:
+    """Bloch-sphere rotation of a 2x2 unitary, one trace per entry."""
+    r = np.empty((3, 3))
+    udag = u.conj().T
+    for j in range(3):
+        sj_u = _SIGMA[j] @ u
+        for k in range(3):
+            r[j, k] = 0.5 * np.trace(sj_u @ _SIGMA[k] @ udag).real
+    return r

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from conftest import assert_equal_upto_phase, random_unitary
 from walkpovm.optics import (
     WavePlate,
+    _so3,
     compile_netlist,
     decompose,
     format_dms,
@@ -136,6 +138,15 @@ def test_decompose_is_phase_stable():
         for (k1, a1), (k2, a2) in zip(reference, shifted):
             assert k1 == k2
             assert a1 == pytest.approx(a2, abs=1e-8)
+
+
+def test_so3_matches_trace_loop():
+    # the contraction sums the same products in another order, so the two
+    # agree to a few ulps of entries bounded by 1
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        u = random_unitary(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        np.testing.assert_allclose(_so3(u), oracle.so3(u), rtol=0, atol=1e-14)
 
 
 def test_decompose_rejects_non_unitary():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rank1_povm, random_unitary
-from walkpovm import walk
+from walkpovm import povm, walk
 from walkpovm.povm import (
     IterationPair,
     PovmElement,
@@ -306,10 +306,68 @@ def test_synthesize_rejects_rank2_element():
         synthesize(target)
 
 
-def test_synthesis_infeasible_error_carries_max_a():
-    err = SynthesisInfeasibleError(1.25)
-    assert err.max_a == pytest.approx(1.25)
-    assert "1.25" in str(err)
+def test_synthesis_infeasible_error_is_a_validation_error_naming_its_element(monkeypatch):
+    # the round trip through extract_povm is the check that raises it, so
+    # perturb what extraction reports at the port of psi3
+    real_extract = povm.extract_povm
+
+    def extract_off_at_port_0(schedule):
+        return PovmSet.build(
+            PovmElement(e.matrix + (1e-6 * I2 if e.port == 0 else 0), e.label, e.port)
+            for e in real_extract(schedule).elements
+        )
+
+    monkeypatch.setattr(povm, "extract_povm", extract_off_at_port_0)
+    target = PovmSet.build(
+        [PovmElement(projector(trine_state(i), 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
+    )
+    with pytest.raises(ValidationError, match="element psi3") as info:
+        synthesize(target)
+    assert isinstance(info.value, SynthesisInfeasibleError)
+    assert info.value.label == "psi3"
+    assert info.value.deviation == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_synthesize_rejects_stale_residual_before_peeling(monkeypatch):
+    # a PovmSet built directly can carry a residual that its elements do not
+    # have; the gate recomputes it from the rows, so no coin is ever built
+    def no_peel(*args):
+        raise AssertionError("an over-complete target reached the peel loop")
+
+    monkeypatch.setattr(povm, "IterationPair", no_peel)
+    rng = np.random.default_rng(6)
+    elements = [PovmElement(1.5 * m, f"o{i}", 0) for i, m in enumerate(random_rank1_povm(rng, 6))]
+    with pytest.raises(ValidationError, match="complete"):
+        synthesize(PovmSet(tuple(elements), 0.0))
+
+
+def _degenerate_targets():
+    p0, p1 = projector([1, 0], 1.0), projector([0, 1], 1.0)
+    trine = [projector(trine_state(i), 2 / 3) for i in (1, 2, 3)]
+    return {
+        "projector_first": [p0, p1 / 2, p1 / 2],
+        "projector_middle": [p1 / 2, p0, p1 / 2],
+        "zero_weight": [p0, 0 * p0, p1],
+        "zero_weight_last": [p0, p1, 0 * p0],
+        "duplicates": [m / 2 for m in trine] + [m / 2 for m in trine],
+        "scaled_1_plus_5e-11_n7": [
+            (1 + 5e-11) * m for m in random_rank1_povm(np.random.default_rng(7), 7)
+        ],
+    }
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+@pytest.mark.parametrize("case", sorted(_degenerate_targets()))
+def test_synthesize_degenerate_targets(case, rotated):
+    # rotating the frame puts rounding noise where the aligned case has exact
+    # zeros; taking c2's b from sqrt(1 - a^2) instead of from the remaining
+    # rows misses rotated projector_first by 1.3e-8 and zero_weight_last by 0.44
+    u = random_unitary(np.random.default_rng(0)) if rotated else I2
+    mats = [u @ m @ u.conj().T for m in _degenerate_targets()[case]]
+    target = PovmSet.build(PovmElement(m, f"o{i}", 0) for i, m in enumerate(mats))
+    assert target.completeness_residual < 1e-10
+    _, assignment = _roundtrip(target)
+    assert assignment == {f"o{i}": 2 * (len(mats) - 1 - i) for i in range(len(mats))}
 
 
 # --- element/set plumbing ---------------------------------------------------
@@ -352,11 +410,11 @@ def test_usd_port_map_is_derived_by_extraction(theta):
 
 
 def test_synthesize_seeded_targets_up_to_64_outcomes():
-    # six complete rank-1 targets for every n in [2, 64]; dividing the peeled
-    # row by its norm clamped to 1 once left the first coin of 2 of these
-    # 378 targets short of unitary
+    # sixteen complete rank-1 targets for every n in [2, 64], 1008 in all;
+    # dividing the peeled row by its norm clamped to 1 once left the first
+    # coin of 2 of the first 378 short of unitary
     rng = np.random.default_rng(123)
-    for _ in range(6):
+    for _ in range(16):
         for n in range(2, 65):
             mats = random_rank1_povm(rng, n)
             _roundtrip(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
