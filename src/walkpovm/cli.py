@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import experiment, optics, povm, walk
+from .tolerances import DEFAULT
 from .walk import ValidationError
 
 
@@ -75,8 +76,8 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
             except ValueError as exc:
                 raise ValidationError(f"cannot parse state {text!r}") from exc
             nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                raise ValidationError("explicit state must be nonzero")
+            if not DEFAULT.norm <= nrm < math.inf:
+                raise ValidationError("explicit state must be nonzero and finite")
             return v / nrm
     raise ValidationError(f"unknown state {text!r}")
 

@@ -18,7 +18,12 @@ so their setting is physically meaningful modulo 90 degrees (up to sign).
 ``decompose`` factors any coin unitary into at most three plates,
 following the pattern QWP * HWP * QWP with omissions; the list is in
 matrix-product order (leftmost applied last, i.e. the beam traverses the
-list right to left).
+list right to left).  It searches nothing: the coin's Bloch rotation
+picks closed-form candidates with none, one, two and three plates, and
+the first whose product matches the coin is returned, each verified
+once.  ``compile_netlist`` lowers a schedule's coins the same way
+without checking them again for unitarity, since every ``CoinSchedule``
+is checked when it is built.
 """
 
 from __future__ import annotations
@@ -141,16 +146,12 @@ def plates_matrix(plates) -> np.ndarray:
 
 
 def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - e^{i t} b| over the optimal global phase t."""
+    """max |a - e^{i t} b| over the optimal global phase t, for unitaries a and b.
+
+    When tr(b^dag a) = 0 every phase leaves the distance at 1 or more.
+    """
     t = np.trace(b.conj().T @ a)
-    if abs(t) < 1e-9:
-        idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-        if abs(b[idx]) < 1e-12:
-            return float(np.max(np.abs(a - b)))
-        t = a[idx] / b[idx]
-        if abs(t) < 1e-12:
-            return float(np.max(np.abs(a - b)))
-    phase = t / abs(t)
+    phase = t / abs(t) if t else 1.0
     return float(np.max(np.abs(a - phase * b)))
 
 
@@ -160,112 +161,62 @@ def _so3(u: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("jab,bc,kcd,ad->jk", _SIGMA, u, _SIGMA, u.conj()).real
 
 
-def _canonical_hwp_angle(sin2b: float, cos2b: float) -> float:
-    # fix the +/- matrix sign so that sin(2 beta) >= 0, i.e. beta in [0, 90]
-    if sin2b < 0 or (abs(sin2b) < 1e-12 and cos2b < 0):
-        sin2b, cos2b = -sin2b, -cos2b
-    return math.degrees(math.atan2(sin2b, cos2b)) / 2.0 % 180.0
+def _hwp_angle(h: np.ndarray) -> float:
+    """Angle of the HWP whose Bloch rotation is h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
+    return math.degrees(math.atan2(h[0, 2], h[2, 2])) / 4.0 % 90.0
 
 
-def _hwp_angle_from_matrix(m: np.ndarray) -> float | None:
-    """Angle beta if m is e^{i d} * hwp(beta), else None."""
-    idx = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    if abs(m[idx]) < 1e-12:
-        return None
-    n = m / (m[idx] / abs(m[idx]))
-    if np.max(np.abs(n.imag)) > 1e-9:
-        return None
-    nr = n.real
-    if abs(nr[0, 1] - nr[1, 0]) > 1e-9 or abs(nr[0, 0] + nr[1, 1]) > 1e-9:
-        return None
-    return _canonical_hwp_angle(nr[0, 1], nr[0, 0])
+def _pair(r: np.ndarray) -> list:
+    """HWP * QWP for a Bloch rotation r with r[1, 1] = 0; the QWP undoes r's action on y."""
+    gamma = math.degrees(math.atan2(r[1, 2], -r[1, 0])) / 2.0
+    return [WavePlate("HWP", _hwp_angle(r @ _so3(qwp(gamma)).T)), WavePlate("QWP", gamma)]
 
 
-def _qwp_angle_from_so3(r: np.ndarray) -> float | None:
-    """Angle alpha if r is the Bloch rotation of qwp(alpha), else None."""
-    if abs(np.trace(r) - 1.0) > _SO3_TOL:
-        return None
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if abs(w[1]) > _SO3_TOL or np.linalg.norm(w) < _SO3_TOL:
-        return None
-    u = w / np.linalg.norm(w)
-    return math.degrees(math.atan2(u[0], u[2])) / 2.0 % 180.0
+def _candidates(r: np.ndarray):
+    """Closed-form plate lists for the Bloch rotation r, fewest plates first.
+
+    The gates only skip candidates that cannot fit; the caller verifies each.
+    """
+    if np.max(np.abs(r - np.eye(3))) <= _SO3_TOL:
+        yield []
+    if abs(r[1, 1] + 1.0) <= _SO3_TOL:
+        yield [WavePlate("HWP", _hwp_angle(r))]
+    if abs(r[1, 1]) <= _SO3_TOL:
+        if abs(np.trace(r) - 1.0) <= _SO3_TOL:
+            # quarter turn; its axis is the vector of r's antisymmetric part
+            two_alpha = math.atan2(r[2, 1] - r[1, 2], r[1, 0] - r[0, 1])
+            yield [WavePlate("QWP", math.degrees(two_alpha) / 2.0)]
+        yield _pair(r)
+    # the outer QWP turns r's image of y back into the x-z plane
+    w = r[:, 1]
+    alpha = 0.0
+    if math.hypot(w[0], w[2]) > DEFAULT.norm:
+        alpha = math.degrees(math.atan2(w[0], w[2])) / 2.0
+    yield [WavePlate("QWP", alpha)] + _pair(_so3(qwp(alpha)).T @ r)
 
 
-def _try_pair(u: np.ndarray, r: np.ndarray, qwp_first: bool) -> list | None:
-    """Solve u = hwp(beta) qwp(alpha) (qwp_first) or u = qwp(alpha) hwp(beta)."""
-    if qwp_first:
-        two_alpha = math.atan2(r[1, 2], -r[1, 0])
-    else:
-        two_alpha = math.atan2(-r[2, 1], r[0, 1])
-    alpha = math.degrees(two_alpha) / 2.0 % 180.0
-    q = qwp(alpha)
-    h_cand = u @ q.conj().T if qwp_first else q.conj().T @ u
-    beta = _hwp_angle_from_matrix(h_cand)
-    if beta is None:
-        return None
-    if qwp_first:
-        plates = [WavePlate("HWP", beta), WavePlate("QWP", alpha)]
-    else:
-        plates = [WavePlate("QWP", alpha), WavePlate("HWP", beta)]
-    if _phase_aligned_dist(plates_matrix(plates), u) > DEFAULT.plate_product:
-        return None
-    return plates
+def _lower(u: np.ndarray) -> list:
+    """Plates for a coin already checked to be unitary: the first verified candidate."""
+    for plates in _candidates(_so3(u)):
+        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
+            return plates
+    raise ValidationError("no wave-plate decomposition found (input not unitary?)")
 
 
 def decompose(u) -> list:
     """Factor a coin unitary into wave plates (QWP * HWP * QWP with omissions).
 
-    The product of the returned plate matrices equals ``u`` up to a global
-    phase within 1e-10.  Identical results are produced for e^{i d} u at
-    any d, since the factorisation runs on the Bloch-sphere rotation.
+    One closed-form candidate is built per plate count from the coin's
+    Bloch rotation r, fewest first: none when r = I, one HWP for a
+    half-turn about an x-z axis, one QWP for a quarter turn about one,
+    HWP * QWP when r maps y into the x-z plane, and otherwise an outer
+    QWP that brings r there followed by that pair (Simon & Mukunda,
+    Phys. Lett. A 143, 165 (1990)).  The first candidate whose product
+    equals ``u`` up to a global phase within ``DEFAULT.plate_product`` is
+    returned; the empty list is verified like any other.  Results are the
+    same for e^{i d} u at any d.
     """
-    u = validate_coin(u)
-    r = _so3(u)
-
-    if np.max(np.abs(r - np.eye(3))) <= _SO3_TOL:
-        return []
-
-    if abs(r[1, 1] + 1.0) <= _SO3_TOL:
-        # half-turn about an axis in the x-z plane: a single HWP
-        m = 0.5 * (r + np.eye(3))
-        k = int(np.argmax(np.diag(m)))
-        u_axis = m[:, k] / math.sqrt(m[k, k])
-        beta = _canonical_hwp_angle(u_axis[0], u_axis[2])
-        plates = [WavePlate("HWP", beta)]
-        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
-            return plates
-
-    alpha = _qwp_angle_from_so3(r)
-    if alpha is not None:
-        plates = [WavePlate("QWP", alpha)]
-        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
-            return plates
-
-    if abs(r[1, 1]) <= _SO3_TOL:
-        for qwp_first in (True, False):
-            plates = _try_pair(u, r, qwp_first)
-            if plates is not None:
-                return plates
-
-    # general case: outer QWP from the image of the y axis, then a pair
-    w = r[:, 1]
-    w_plane = math.hypot(w[0], w[2])
-    if w_plane > _SO3_TOL:
-        base = math.degrees(math.atan2(w[0], w[2])) / 2.0
-        candidates = [base % 180.0, (base + 90.0) % 180.0]
-    else:
-        candidates = [0.0, 45.0]
-    for alpha in candidates:
-        q = qwp(alpha)
-        v = q.conj().T @ u
-        inner = _try_pair(v, _so3(v), qwp_first=True)
-        if inner is None:
-            continue
-        plates = [WavePlate("QWP", alpha)] + inner
-        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
-            return plates
-    raise ValidationError("no wave-plate decomposition found (input not unitary?)")
+    return _lower(validate_coin(u))
 
 
 def usd_plate_angle(theta: float) -> float:
@@ -278,10 +229,10 @@ def usd_plate_angle(theta: float) -> float:
     return math.degrees(0.5 * math.asin(min(1.0, math.tan(theta / 2.0))))
 
 
-def _is_mixing(m: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_mixing(m: np.ndarray) -> bool:
     """True when some output of the coin superposes both inputs."""
     return bool(
-        abs(m[0, 0] * m[0, 1]) > tol or abs(m[1, 0] * m[1, 1]) > tol
+        abs(m[0, 0] * m[0, 1]) > DEFAULT.norm or abs(m[1, 0] * m[1, 1]) > DEFAULT.norm
     )
 
 
@@ -338,7 +289,7 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
     plates = []
     for s, coins in enumerate(schedule.steps, start=1):
         for x in sorted(coins):
-            for p in decompose(coins[x]):
+            for p in _lower(coins[x]):
                 plates.append(replace(p, position=x, step=s))
     reach = _reach(schedule)
     return OpticalNetlist(
@@ -363,7 +314,7 @@ def state_prep_angles(target, include_qwp: bool | None = None):
     """
     v = np.asarray(target, dtype=complex).reshape(2)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > DEFAULT.input_norm:
+    if not abs(nrm - 1.0) <= DEFAULT.input_norm:
         raise ValidationError("target state must be normalised")
     v = v / nrm
     s1 = abs(v[0]) ** 2 - abs(v[1]) ** 2

@@ -63,15 +63,15 @@ class PovmElement:
     label: str
     port: int
 
-    def __init__(self, matrix, label: str, port: int,
-                 tol_herm: float = DEFAULT.hermiticity,
-                 tol_psd: float = DEFAULT.psd_floor):
+    def __init__(self, matrix, label: str, port: int):
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError(f"element {label}: matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > tol_herm:
+        if not np.isfinite(m).all():
+            raise ValidationError(f"element {label}: matrix is not finite")
+        if not np.max(np.abs(m - m.conj().T)) <= DEFAULT.hermiticity:
             raise ValidationError(f"element {label}: matrix is not Hermitian")
-        if np.linalg.eigvalsh(m)[0] < tol_psd:
+        if not np.linalg.eigvalsh(m)[0] >= DEFAULT.psd_floor:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
         self._store(m, label, port)
 
@@ -144,7 +144,11 @@ class IterationPair:
 
 
 def build_circuit(pairs) -> CoinSchedule:
-    """Lay out the peel-off schedule: 2 steps per iteration pair."""
+    """Lay out the peel-off schedule: 2 steps per iteration pair.
+
+    ``IterationPair`` has checked every coin, so the schedule does not
+    check them again.
+    """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("at least one iteration pair is required (n >= 2 outcomes)")
@@ -152,7 +156,7 @@ def build_circuit(pairs) -> CoinSchedule:
     for p in pairs:
         steps.append({0: p.c1})
         steps.append({1: p.c2, -1: NOT_COIN})
-    return CoinSchedule(steps)
+    return CoinSchedule._of_checked(steps)
 
 
 def extract_povm(schedule: CoinSchedule) -> PovmSet:

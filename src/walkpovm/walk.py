@@ -36,13 +36,14 @@ class ValidationError(ValueError):
     """An input violated a documented precondition."""
 
 
-def validate_coin(matrix, *, position=None, step=None, tol: float = DEFAULT.unitarity) -> np.ndarray:
+def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     """Return the coin as a complex array, rejecting non-unitary input.
 
     The error message names the offending position (and step, if given).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2) or not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= tol:
+    if (m.shape != (2, 2) or not np.isfinite(m).all()
+            or not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= DEFAULT.unitarity):
         where = ""
         if position is not None:
             where += f" at position {position}"
@@ -52,10 +53,10 @@ def validate_coin(matrix, *, position=None, step=None, tol: float = DEFAULT.unit
     return m
 
 
-def coin_column(vector, tol: float = DEFAULT.input_norm) -> np.ndarray:
+def coin_column(vector) -> np.ndarray:
     """The input coin state as a complex 2-vector, rejecting any other input."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    if v.shape != (2,) or abs(np.linalg.norm(v) - 1.0) > tol:
+    if v.shape != (2,) or not abs(np.linalg.norm(v) - 1.0) <= DEFAULT.input_norm:
         raise ValidationError("input coin state must be a normalised 2-vector")
     return v
 
@@ -94,9 +95,8 @@ class WalkState:
     amplitudes: dict
 
     @classmethod
-    def from_coin_vector(cls, vector, position: int = 0,
-                         tol: float = DEFAULT.input_norm) -> "WalkState":
-        v = coin_column(vector, tol)
+    def from_coin_vector(cls, vector, position: int = 0) -> "WalkState":
+        v = coin_column(vector)
         return cls({(position, c): complex(v[c]) for c in (R, L) if v[c] != 0})
 
     def norm(self) -> float:
@@ -135,7 +135,8 @@ class CoinSchedule:
     """Ordered walk steps; each step maps position -> coin operation.
 
     Positions absent from a step's map receive the identity.  Every coin
-    is checked for unitarity on construction.
+    is checked for unitarity on construction, except through
+    ``_of_checked``, which takes coins already checked elsewhere.
     """
 
     steps: tuple
@@ -145,6 +146,13 @@ class CoinSchedule:
             {int(x): validate_coin(m, position=x, step=s) for x, m in coins.items()}
             for s, coins in enumerate(steps, start=1)
         ))
+
+    @classmethod
+    def _of_checked(cls, steps) -> "CoinSchedule":
+        """A schedule of coins already checked for unitarity, so left unchecked."""
+        schedule = cls.__new__(cls)
+        object.__setattr__(schedule, "steps", tuple(steps))
+        return schedule
 
     @property
     def n_steps(self) -> int:

@@ -1,7 +1,8 @@
 """Reference walk engines kept as a test oracle.
 
-These are the three engines the package used before the array
-propagator in ``walkpovm.walk`` replaced them, kept as they were:
+These are the engines the package used before the array propagator in
+``walkpovm.walk`` and the closed-form plate lowering in
+``walkpovm.optics`` replaced them, kept as they were:
 
 * the dict engine ``apply_coin``/``translate``/``run`` and the two-run
   ``extract_povm`` built on it;
@@ -10,19 +11,38 @@ propagator in ``walkpovm.walk`` replaced them, kept as they were:
 * the dense ``run_density``, which builds the full dim x dim step
   unitary and permutes the density matrix with ``np.ix_``;
 * ``so3``, the Bloch rotation of a coin as nine separate traces, which
-  ``optics._so3`` now forms as one contraction.
+  ``optics._so3`` now forms as one contraction;
+* the search ``decompose``, which tries identity, HWP, QWP, both pair
+  orders and two outer-QWP angles and verifies each try, where
+  ``optics.decompose`` now builds one closed-form candidate per plate
+  count.
 
-``tests/test_propagator.py`` holds the package to these on random
-schedules.  They are slow by design (``run_density`` is O(T dim^3)) and
-are not part of the package.
+``tests/test_propagator.py`` and ``tests/test_optics.py`` hold the
+package to these on random schedules and coins.  They are slow by design
+(``run_density`` is O(T dim^3)) and are not part of the package.
 """
+
+import math
 
 import numpy as np
 
 from walkpovm.experiment import IDEAL
-from walkpovm.optics import _SIGMA, _is_mixing
+from walkpovm.optics import (
+    _SIGMA,
+    WavePlate,
+    _is_mixing,
+    _phase_aligned_dist,
+    _so3,
+    plates_matrix,
+    qwp,
+)
 from walkpovm.povm import PovmElement, PovmSet
-from walkpovm.walk import L, R, WalkState, validate_coin
+from walkpovm.tolerances import DEFAULT
+from walkpovm.walk import L, R, ValidationError, WalkState, validate_coin
+
+# tolerance for the SO(3) pattern tests inside decompose; final results
+# are always re-verified against the unitary at DEFAULT.plate_product
+_SO3_TOL = 1e-8
 
 
 def apply_coin(state: WalkState, coins) -> WalkState:
@@ -192,3 +212,111 @@ def so3(u: np.ndarray) -> np.ndarray:
         for k in range(3):
             r[j, k] = 0.5 * np.trace(sj_u @ _SIGMA[k] @ udag).real
     return r
+
+
+def _canonical_hwp_angle(sin2b: float, cos2b: float) -> float:
+    # fix the +/- matrix sign so that sin(2 beta) >= 0, i.e. beta in [0, 90]
+    if sin2b < 0 or (abs(sin2b) < 1e-12 and cos2b < 0):
+        sin2b, cos2b = -sin2b, -cos2b
+    return math.degrees(math.atan2(sin2b, cos2b)) / 2.0 % 180.0
+
+
+def _hwp_angle_from_matrix(m: np.ndarray) -> float | None:
+    """Angle beta if m is e^{i d} * hwp(beta), else None."""
+    idx = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    if abs(m[idx]) < 1e-12:
+        return None
+    n = m / (m[idx] / abs(m[idx]))
+    if np.max(np.abs(n.imag)) > 1e-9:
+        return None
+    nr = n.real
+    if abs(nr[0, 1] - nr[1, 0]) > 1e-9 or abs(nr[0, 0] + nr[1, 1]) > 1e-9:
+        return None
+    return _canonical_hwp_angle(nr[0, 1], nr[0, 0])
+
+
+def _qwp_angle_from_so3(r: np.ndarray) -> float | None:
+    """Angle alpha if r is the Bloch rotation of qwp(alpha), else None."""
+    if abs(np.trace(r) - 1.0) > _SO3_TOL:
+        return None
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if abs(w[1]) > _SO3_TOL or np.linalg.norm(w) < _SO3_TOL:
+        return None
+    u = w / np.linalg.norm(w)
+    return math.degrees(math.atan2(u[0], u[2])) / 2.0 % 180.0
+
+
+def _try_pair(u: np.ndarray, r: np.ndarray, qwp_first: bool) -> list | None:
+    """Solve u = hwp(beta) qwp(alpha) (qwp_first) or u = qwp(alpha) hwp(beta)."""
+    if qwp_first:
+        two_alpha = math.atan2(r[1, 2], -r[1, 0])
+    else:
+        two_alpha = math.atan2(-r[2, 1], r[0, 1])
+    alpha = math.degrees(two_alpha) / 2.0 % 180.0
+    q = qwp(alpha)
+    h_cand = u @ q.conj().T if qwp_first else q.conj().T @ u
+    beta = _hwp_angle_from_matrix(h_cand)
+    if beta is None:
+        return None
+    if qwp_first:
+        plates = [WavePlate("HWP", beta), WavePlate("QWP", alpha)]
+    else:
+        plates = [WavePlate("QWP", alpha), WavePlate("HWP", beta)]
+    if _phase_aligned_dist(plates_matrix(plates), u) > DEFAULT.plate_product:
+        return None
+    return plates
+
+
+def decompose(u) -> list:
+    """Factor a coin unitary into wave plates (QWP * HWP * QWP with omissions).
+
+    The product of the returned plate matrices equals ``u`` up to a global
+    phase within 1e-10.  Identical results are produced for e^{i d} u at
+    any d, since the factorisation runs on the Bloch-sphere rotation.
+    """
+    u = validate_coin(u)
+    r = _so3(u)
+
+    if np.max(np.abs(r - np.eye(3))) <= _SO3_TOL:
+        return []
+
+    if abs(r[1, 1] + 1.0) <= _SO3_TOL:
+        # half-turn about an axis in the x-z plane: a single HWP
+        m = 0.5 * (r + np.eye(3))
+        k = int(np.argmax(np.diag(m)))
+        u_axis = m[:, k] / math.sqrt(m[k, k])
+        beta = _canonical_hwp_angle(u_axis[0], u_axis[2])
+        plates = [WavePlate("HWP", beta)]
+        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
+            return plates
+
+    alpha = _qwp_angle_from_so3(r)
+    if alpha is not None:
+        plates = [WavePlate("QWP", alpha)]
+        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
+            return plates
+
+    if abs(r[1, 1]) <= _SO3_TOL:
+        for qwp_first in (True, False):
+            plates = _try_pair(u, r, qwp_first)
+            if plates is not None:
+                return plates
+
+    # general case: outer QWP from the image of the y axis, then a pair
+    w = r[:, 1]
+    w_plane = math.hypot(w[0], w[2])
+    if w_plane > _SO3_TOL:
+        base = math.degrees(math.atan2(w[0], w[2])) / 2.0
+        candidates = [base % 180.0, (base + 90.0) % 180.0]
+    else:
+        candidates = [0.0, 45.0]
+    for alpha in candidates:
+        q = qwp(alpha)
+        v = q.conj().T @ u
+        inner = _try_pair(v, _so3(v), qwp_first=True)
+        if inner is None:
+            continue
+        plates = [WavePlate("QWP", alpha)] + inner
+        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
+            return plates
+    raise ValidationError("no wave-plate decomposition found (input not unitary?)")

@@ -78,6 +78,14 @@ def test_run_unknown_state_exits_1():
     assert "unknown state" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_non_finite_state_exits_1(command):
+    result = run_cli(command, "--scenario", "trine", "--input", "nan:1")
+    assert result.returncode == 1
+    assert "finite" in result.stderr
+    assert result.stdout == ""
+
+
 def test_run_sampled_deterministic_bytes(tmp_path):
     args = ["run", "--scenario", "trine", "--input", "psi3-2",
             "--counts", "40000", "--seed", "12", "--format", "csv"]

@@ -7,6 +7,7 @@ import oracle
 from conftest import assert_equal_upto_phase, random_unitary
 from walkpovm.optics import (
     WavePlate,
+    _phase_aligned_dist,
     _so3,
     compile_netlist,
     decompose,
@@ -20,13 +21,18 @@ from walkpovm.optics import (
     usd_plate_angle,
 )
 from walkpovm.povm import (
+    PovmElement,
+    PovmSet,
     anti_sic_state,
     anti_trine_state,
+    build_circuit,
     scenario_schedule,
     sic_state,
+    synthesize,
     trine_state,
     usd_state,
 )
+from walkpovm.tolerances import DEFAULT
 from walkpovm.walk import CoinSchedule, NOT_COIN, ValidationError
 
 TILT = np.sqrt(1 / 3) * np.array([[np.sqrt(2), 1], [1, -np.sqrt(2)]], dtype=complex)
@@ -152,6 +158,58 @@ def test_so3_matches_trace_loop():
 def test_decompose_rejects_non_unitary():
     with pytest.raises(ValidationError):
         decompose(np.array([[1, 1], [0, 1]]))
+
+
+def _lowering_coins():
+    """Phased Haar coins, HWP/QWP/pair grids and y- and z-axis rotations."""
+    rng = np.random.default_rng(29)
+    coins = [random_unitary(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(400)]
+    grid = np.arange(0.0, 180.0, 7.5)
+    coins += [hwp(a) for a in grid] + [qwp(a) for a in grid]
+    coins += [hwp(a) @ qwp(b) for a in grid for b in grid[::3]]
+    coins += [qwp(a) @ hwp(b) for a in grid for b in grid[::3]]
+    for t in np.linspace(-2 * np.pi, 2 * np.pi, 49):
+        c, s = np.cos(t / 2), np.sin(t / 2)
+        coins.append(np.array([[c, -s], [s, c]], dtype=complex))
+        coins.append(np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]))
+    return coins
+
+
+def test_decompose_matches_search_oracle():
+    # same kinds means never more plates; hwp(b + 90) = -hwp(b) is the same
+    # plate, and at b near 0 the search's sign choice lands on 0 or 90 by
+    # rounding, so HWP angles compare mod 90
+    for u in _lowering_coins():
+        got, ref = decompose(u), oracle.decompose(u)
+        assert [p.kind for p in got] == [p.kind for p in ref]
+        for p, q in zip(got, ref):
+            assert mod_dist(p.angle_deg, q.angle_deg, 90.0 if p.kind == "HWP" else 180.0) <= 1e-9
+        assert _phase_aligned_dist(plates_matrix(got), u) <= DEFAULT.plate_product
+
+
+def test_decompose_coin_just_off_a_half_wave_plate():
+    # 3e-9 from hwp(30): the image of y has an in-plane part of about 6e-9,
+    # which a search that tried only outer QWPs at 0 and 45 degrees below
+    # 1e-8 could not match, so it raised
+    u = hwp(30.0) @ np.diag([np.exp(-3e-9j), np.exp(3e-9j)])
+    plates = decompose(u)
+    assert _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product
+
+
+def test_compile_coin_just_off_the_identity():
+    # the first row sits 4e-9 off |0>, so the first coin is 4e-9 off the
+    # identity: an unverified empty slot would miss it by 40x the tolerance
+    d = 4e-9
+    rot = np.array([[np.cos(d), -np.sin(d)], [np.sin(d), np.cos(d)]])
+    mats = [rot @ np.outer(trine_state(i), trine_state(i).conj()) @ rot.T * (2 / 3)
+            for i in (1, 2, 3)]
+    pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", 0) for i, m in enumerate(mats)))
+    schedule = build_circuit(pairs)
+    net = compile_netlist(schedule)
+    for s, coins in enumerate(schedule.steps, start=1):
+        for x, m in coins.items():
+            group = [p for p in net.plates if p.step == s and p.position == x]
+            assert _phase_aligned_dist(plates_matrix(group), m) <= DEFAULT.plate_product
 
 
 # --- discrimination plate angle ----------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rank1_povm, random_unitary
-from walkpovm import povm, walk
+from walkpovm import optics, povm, walk
 from walkpovm.povm import (
     IterationPair,
     PovmElement,
@@ -407,6 +407,23 @@ def test_usd_port_map_is_derived_by_extraction(theta):
     assert np.vdot(plus, effects[ports["minus"]] @ plus).real < 1e-12
     conclusive = np.vdot(plus, effects[ports["plus"]] @ plus).real
     assert conclusive == pytest.approx(usd_success_probability(theta), rel=1e-9)
+
+
+def test_each_coin_is_checked_once(monkeypatch):
+    # IterationPair checks the 2(n - 1) coins; build_circuit and
+    # compile_netlist trust them rather than checking all 3(n - 1) again
+    original, calls = walk.validate_coin, []
+
+    def counting(matrix, **where):
+        calls.append(where)
+        return original(matrix, **where)
+
+    for module in (walk, povm, optics):
+        monkeypatch.setattr(module, "validate_coin", counting)
+    mats = random_rank1_povm(np.random.default_rng(5), 8)
+    pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
+    optics.compile_netlist(build_circuit(pairs))
+    assert len(calls) == 14
 
 
 def test_synthesize_seeded_targets_up_to_64_outcomes():

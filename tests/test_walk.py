@@ -16,9 +16,11 @@ from walkpovm.walk import (
     run,
     translate,
 )
+from walkpovm import cli
 from walkpovm.experiment import ImperfectionConfig
-from walkpovm.povm import PovmSet, scenario_schedule, trine_state
-from walkpovm.walk import complex_from_json, complex_to_json, decoding
+from walkpovm.optics import state_prep_angles
+from walkpovm.povm import PovmElement, PovmSet, scenario_schedule, trine_state
+from walkpovm.walk import coin_column, complex_from_json, complex_to_json, decoding, validate_coin
 
 HAD = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
 
@@ -254,3 +256,20 @@ _MALFORMED = (
 def test_malformed_json_is_a_validation_error(decode, text):
     with pytest.raises(ValidationError, match="^malformed "):
         decode(text)
+
+
+_BOUNDARIES = {
+    "coin_column": lambda x: coin_column([x, 1.0]),
+    "validate_coin": lambda x: validate_coin([[x, 0.0], [0.0, 1.0]]),
+    "PovmElement": lambda x: PovmElement([[x, 0.0], [0.0, 1.0]], "e", 0),
+    "PovmElement_offdiagonal": lambda x: PovmElement([[1.0, x], [x, 1.0]], "e", 0),
+    "state_prep_angles": lambda x: state_prep_angles([x, 1.0]),
+    "cli.parse_state": lambda x: cli.parse_state(f"{x}:1", None),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", sorted(_BOUNDARIES))
+def test_non_finite_input_is_rejected(entry, value):
+    with pytest.raises(ValidationError):
+        _BOUNDARIES[entry](value)
