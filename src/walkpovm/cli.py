@@ -82,6 +82,20 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
     raise ValidationError(f"unknown state {text!r}")
 
 
+def _photon_count(text: str, command: str) -> int:
+    """``--counts`` as the photon count that ``command`` samples."""
+    if not text.strip().isdecimal():
+        raise ValidationError(f"{command} requires --counts to be a photon count, not {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: NaN would pass every check and a negative value fail every one."""
+    if not 0.0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return float(text)
+
+
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -130,9 +144,7 @@ def _cmd_run(args, sampled_default: bool) -> str:
     counts_arg = args.counts
     if counts_arg is None:
         counts_arg = "40000" if sampled_default else "ideal"
-    if counts_arg == "ideal":
-        if sampled_default:
-            raise ValidationError("sample requires a numeric --counts")
+    if counts_arg == "ideal" and not sampled_default:
         mode = "ideal"
         if config is experiment.IDEAL:
             dist = walk.position_distribution(walk.run(schedule, state))
@@ -142,10 +154,7 @@ def _cmd_run(args, sampled_default: bool) -> str:
         rows = [(p, dist.get(p, 0.0), None) for p in ports]
         table = None
     else:
-        try:
-            total = int(counts_arg)
-        except ValueError as exc:
-            raise ValidationError("--counts must be 'ideal' or an integer") from exc
+        total = _photon_count(counts_arg, args.cmd)
         mode = "sampled"
         dist = experiment.run_density(schedule, state, config)
         dist = experiment.apply_efficiencies(dist, config.port_efficiencies)
@@ -237,7 +246,7 @@ def _cmd_sweep(args) -> str:
     else:
         thetas = [k * math.pi / 20.0 for k in range(1, 11)]
     config = _load_config(args.imperfections)
-    total = int(args.counts) if args.counts not in (None, "ideal") else 40000
+    total = 40000 if args.counts is None else _photon_count(args.counts, "sweep")
     rows = experiment.usd_sweep(thetas, config, total=total, seed=args.seed)
     if args.format == "json":
         payload = {
@@ -282,7 +291,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write to a file instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-10)
+        p.add_argument("--tolerance", type=_tolerance, default=1e-10)
 
     p_run = sub.add_parser("run", help="simulate a measurement scenario")
     common(p_run, needs_input=True)

@@ -3,18 +3,19 @@
 ``run_density`` evolves the density matrix over (position, coin) and
 models finite interference contrast: at every displacer belonging to an
 interferometer with visibility V, off-diagonal coherences are multiplied
-by V.  It keeps R and L in frames that move with the beam displacer, so
-the conditional shift changes no data; a step rewrites only its coins'
-rows and columns and, when it dephases, the light-cone block the walker
-occupies.  With all visibilities at 1 it reproduces the ideal pure-state
-probabilities exactly.  ``sample_counts`` adds multinomial
-shot noise with a seeded, portable generator, and
+by V.  It keeps rho in the frame of ``walk._coin_rows``, which moves with
+the beam displacer, so the conditional shift changes no data; a step
+rewrites only its coins' rows and columns and, when it dephases, the
+light-cone block the walker occupies.  With all visibilities at 1 it
+reproduces the ideal pure-state probabilities exactly.  ``sample_counts``
+adds multinomial shot noise with a seeded, portable generator, and
 ``apply_efficiencies`` models per-port detector imbalance.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,26 +23,29 @@ import numpy as np
 from .optics import interferometers
 from .povm import usd_scenario, usd_state, usd_success_probability, build_circuit
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, coin_column, decoding
+from .walk import CoinSchedule, ValidationError, _coin_rows, coin_column, decoding
 
 
 @dataclass(frozen=True)
 class ImperfectionConfig:
-    """Optical non-idealities plus the RNG seed used for sampling.
+    """Optical non-idealities of the apparatus.
 
     ``visibilities`` maps an interferometer (its displacer pair) to the
     interference contrast in [0, 1]; pairs absent from the map are
     perfect.  ``port_efficiencies`` maps detection ports to relative
     detector efficiencies in (0, 1]; their spread must stay inside
-    ``imbalance_budget``.
+    ``imbalance_budget``, a finite number >= 0.  ``from_json`` ignores
+    keys it does not know, such as the ``"seed"`` older files carry.
     """
 
     visibilities: dict = field(default_factory=dict)
     port_efficiencies: dict = field(default_factory=dict)
-    seed: int = 0
     imbalance_budget: float = 0.05
 
     def __post_init__(self):
+        if not 0.0 <= self.imbalance_budget < math.inf:
+            raise ValidationError(
+                f"imbalance_budget must be finite and >= 0, not {self.imbalance_budget}")
         for pair, v in self.visibilities.items():
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"visibility for {pair} must lie in [0, 1]")
@@ -61,7 +65,6 @@ class ImperfectionConfig:
         payload = {
             "visibilities": {f"{a}-{b}": v for (a, b), v in self.visibilities.items()},
             "port_efficiencies": {str(p): e for p, e in self.port_efficiencies.items()},
-            "seed": self.seed,
             "imbalance_budget": self.imbalance_budget,
         }
         return json.dumps(payload, sort_keys=True)
@@ -78,7 +81,6 @@ class ImperfectionConfig:
             return cls(
                 visibilities=vis,
                 port_efficiencies=eff,
-                seed=int(data.get("seed", 0)),
                 imbalance_budget=float(data.get("imbalance_budget", 0.05)),
             )
 
@@ -127,14 +129,12 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     interferometer displacer they traverse, so a closed pair damps the
     recombined-path coherence by V^2.
 
-    rho is one flat dim x dim array, dim = 2(2T + 1), with R and L in
-    frames that move with the displacer: after s steps the R component at
-    x has index x - s + 2T and the L component has index 2T + 1 + x + s,
-    so the shift moves no data.  Before step s the walker occupies
-    [-(s-1), s-1], and after it R occupies [2-s, s] and L [-s, s-2]; both
-    are the index block [2T + 2 - 2s, 2T + 2s).  A coin at x touches its
-    two rows and two columns within that block, and dephasing touches the
-    block only.
+    rho is one (2T + 2)-square array in the frame of ``walk._coin_rows``:
+    after s steps (x, R) is index T + (x - s)/2 and (x, L) is
+    T + 1 + (x + s)/2, so the shift moves no data.  Before and after step s
+    the walker lies in the light-cone block [T + 1 - s, T + s].  A coin
+    touches its two rows and two columns within that block, dephasing
+    touches the block only, and port 2k - T sums indices k and T + 1 + k.
     """
     if config is None:
         config = IDEAL
@@ -145,26 +145,25 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
             damping[member] = damping.get(member, 1.0) * v
 
     t = schedule.n_steps
-    dim = 2 * (2 * t + 1)
     psi = coin_column(coin_vector)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[2 * t:2 * t + 2, 2 * t:2 * t + 2] = np.outer(psi, psi.conj())
+    rho = np.zeros((2 * t + 2, 2 * t + 2), dtype=complex)
+    rho[t:t + 2, t:t + 2] = np.outer(psi, psi.conj())
     for s, coins in enumerate(schedule.steps, start=1):
-        lo, hi = 2 * t + 2 - 2 * s, 2 * t + 2 * s
+        cone = slice(t + 1 - s, t + s + 1)
         for x, m in coins.items():
-            if abs(x) < s:
-                rl = slice(2 * t + x - s + 1, 2 * t + x + s + 1, 2 * s - 1)
-                rho[rl, lo:hi] = m @ rho[rl, lo:hi]
-                rho[lo:hi, rl] = rho[lo:hi, rl] @ m.conj().T
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                rho[rows, cone] = m @ rho[rows, cone]
+                rho[cone, rows] = rho[cone, rows] @ m.conj().T
         v = damping.get(s, 1.0)
         if v != 1.0:
-            block = rho[lo:hi, lo:hi]
+            block = rho[cone, cone]
             diag = block.diagonal().copy()
             block *= v
             np.fill_diagonal(block, diag)
 
     p = rho.diagonal().real
-    return {x: max(0.0, float(p[x + t] + p[2 * t + 1 + x + t])) for x in range(-t, t + 1, 2)}
+    return {2 * k - t: max(0.0, float(q)) for k, q in enumerate(p[:t + 1] + p[t + 1:])}
 
 
 def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _step, validate_coin
+from .walk import CoinSchedule, ValidationError, _coin_rows, validate_coin
 
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -98,7 +98,8 @@ class WavePlate:
     def __post_init__(self):
         if self.kind not in ("HWP", "QWP"):
             raise ValidationError(f"unknown plate kind {self.kind!r}")
-        object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
+        # twice, because -tiny % 180 rounds to 180 itself
+        object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0 % 180.0)
 
     @property
     def angle_dms(self) -> str:
@@ -163,7 +164,7 @@ def _so3(u: np.ndarray) -> np.ndarray:
 
 def _hwp_angle(h: np.ndarray) -> float:
     """Angle of the HWP whose Bloch rotation is h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
-    return math.degrees(math.atan2(h[0, 2], h[2, 2])) / 4.0 % 90.0
+    return math.degrees(math.atan2(h[0, 2], h[2, 2])) / 4.0 % 90.0 % 90.0
 
 
 def _pair(r: np.ndarray) -> list:
@@ -236,52 +237,43 @@ def _is_mixing(m: np.ndarray) -> bool:
     )
 
 
-def _reach(schedule: CoinSchedule) -> list:
-    """Reachable (position, coin) masks from x = 0: before each step, then final.
+def _structure(schedule: CoinSchedule):
+    """(ports, interferometers) of the walk from x = 0, in one reachability pass.
 
-    Row x + T holds position x.  Each coin's pattern of entries above 1e-12
-    walks in its place as a boolean matrix: its product is an OR of ANDs,
-    which cannot cancel, so an entry is True exactly when some path reaches it.
+    A bool vector walks the frame of ``walk._coin_rows`` with each coin's
+    pattern of entries above 1e-12; an OR of ANDs cannot cancel, so a row is
+    True exactly when some path reaches it.
     """
     t = schedule.n_steps
-    a = np.zeros((2 * t + 1, 2, 1), dtype=bool)
-    a[t] = True
-    masks = [a[:, :, 0].copy()]
-    for coins in schedule.steps:
-        _step(a, {x: np.abs(m) > 1e-12 for x, m in coins.items()}, t)
-        masks.append(a[:, :, 0].copy())
-    return masks
+    lit = np.zeros(2 * t + 2, dtype=bool)
+    lit[t:t + 2] = True
+    pairs = []
+    for s, coins in enumerate(schedule.steps, start=1):
+        mixes = False
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                mixes = mixes or (s >= 3 and lit[rows].all() and _is_mixing(m))
+                lit[rows] = (np.abs(m) > 1e-12) @ lit[rows]
+        if mixes:
+            pairs.append((s - 2, s - 1))
+    ports = [2 * k - t for k in np.flatnonzero(lit[:t + 1] | lit[t + 1:]).tolist()]
+    return ports, pairs
 
 
 def interferometers(schedule: CoinSchedule) -> list:
     """Displacer pairs that recombine paths before a mixing coin.
 
-    A coin at step t that superposes both coin components interferes the
-    two path histories merged by displacer t-1 after they split at t-2;
-    the pair (t-2, t-1) must therefore stay phase stable.  Reachability
-    from the x = 0 start decides whether both components can actually be
-    populated.
+    A coin at step t that superposes both coin components, both reachable
+    from x = 0, interferes the two path histories merged by displacer t-1
+    after they split at t-2; the pair (t-2, t-1) must stay phase stable.
     """
-    return _interferometers(schedule, _reach(schedule))
-
-
-def _interferometers(schedule: CoinSchedule, reach: list) -> list:
-    origin = schedule.n_steps
-
-    def interferes(t, x, m):
-        return 0 <= x + origin <= 2 * origin and reach[t - 1][x + origin].all() and _is_mixing(m)
-
-    return [(t - 2, t - 1) for t, coins in enumerate(schedule.steps, start=1)
-            if t >= 3 and any(interferes(t, x, m) for x, m in coins.items())]
+    return _structure(schedule)[1]
 
 
 def output_ports(schedule: CoinSchedule) -> list:
     """Positions reachable at the end of the walk from the x = 0 start."""
-    return _output_ports(schedule, _reach(schedule))
-
-
-def _output_ports(schedule: CoinSchedule, reach: list) -> list:
-    return (np.flatnonzero(reach[-1].any(axis=1)) - schedule.n_steps).tolist()
+    return _structure(schedule)[0]
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
@@ -291,12 +283,12 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
         for x in sorted(coins):
             for p in _lower(coins[x]):
                 plates.append(replace(p, position=x, step=s))
-    reach = _reach(schedule)
+    ports, pairs = _structure(schedule)
     return OpticalNetlist(
         displacers=schedule.n_steps,
         plates=tuple(plates),
-        ports=tuple(_output_ports(schedule, reach)),
-        interferometers=tuple(_interferometers(schedule, reach)),
+        ports=tuple(ports),
+        interferometers=tuple(pairs),
     )
 
 

@@ -168,9 +168,9 @@ def extract_povm(schedule: CoinSchedule) -> PovmSet:
     """
     t = schedule.n_steps
     final = _propagate(schedule, IDENTITY_COIN)
-    ports = (np.flatnonzero(final.any(axis=(1, 2))) - t).tolist()
     return PovmSet.build(
-        PovmElement._of_kraus(final[x + t], f"E{x}", x) for x in ports
+        PovmElement._of_kraus(final[k], f"E{2 * k - t}", 2 * k - t)
+        for k in np.flatnonzero(final.any(axis=(1, 2))).tolist()
     )
 
 

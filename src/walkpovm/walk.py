@@ -6,11 +6,10 @@ conditional shift and doubles as horizontal polarisation; index 1 ("L")
 moves left / vertical.  All operations are pure functions on immutable
 values, so states can be shared freely between threads.
 
-``_step`` is the one propagator for pure states, Kraus maps and
-reachability masks, which all walk through it as (position, coin, batch)
-arrays; ``experiment.run_density`` keeps the density matrix in moving
-frames instead, where the shift is an index change.  Complex values cross
-JSON as ``{"re", "im"}`` cells only.
+``_coin_rows`` states the one frame that amplitudes, Kraus maps,
+reachability and density matrices all walk in, where the shift moves no
+data; ``apply_coin`` and ``translate`` act on the sparse dict directly.
+Complex values cross JSON as ``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations
@@ -175,69 +174,58 @@ class CoinSchedule:
             ])
 
 
-def _apply_coins(a: np.ndarray, coins, origin: int) -> None:
-    """Apply each coin in place to row x + origin; coins off the array act on nothing."""
-    for x, m in coins.items():
-        if 0 <= x + origin < len(a):
-            a[x + origin] = m @ a[x + origin]
+def _coin_rows(t: int, s: int, x: int):
+    """Frame rows a coin at x rewrites before step s of t, or None if it meets no amplitude.
 
-
-def _step(a: np.ndarray, coins, origin: int) -> None:
-    """One walk step in place on a (position, coin, batch) array: coins, then shift.
-
-    The shift moves coin R up a row and coin L down a row, so the end rows
-    must be empty, as they are on 2T + 1 rows walked from the middle for T steps.
+    The 2t + 2 rows move with the displacer and keep the walker's parity:
+    after s steps (x, R) is row t + (x - s)/2 and (x, L) row t + 1 + (x + s)/2,
+    so port 2k - t is rows k and t + 1 + k.
     """
-    _apply_coins(a, coins, origin)
-    a[1:, R] = a[:-1, R]
-    a[:-1, L] = a[1:, L]
+    if abs(x) >= s or (x - s) % 2 == 0:
+        return None
+    i = t + (x - s + 1) // 2
+    return slice(i, i + s + 1, s)
 
 
 def _propagate(schedule: CoinSchedule, columns: np.ndarray) -> np.ndarray:
-    """Final array of the walk from x = 0 for each input coin column.
+    """Final amplitudes of the walk from x = 0 for each input coin column.
 
-    It has 2T + 1 rows for T steps, row x + T holding position x.
+    Row k of the (T + 1, coin, batch) result holds port 2k - T.
     """
     t = schedule.n_steps
-    a = np.zeros((2 * t + 1, 2, columns.shape[1]), dtype=complex)
-    a[t] = columns
-    for coins in schedule.steps:
-        _step(a, coins, t)
-    return a
-
-
-def _from_lattice(a: np.ndarray, origin: int) -> WalkState:
-    rows, coins = np.nonzero(a[:, :, 0])
-    return WalkState({(int(i) - origin, int(c)): complex(a[i, c, 0])
-                      for i, c in zip(rows, coins)})
-
-
-def _on_lattice(state: WalkState, act) -> WalkState:
-    """Lay the state out with an empty row at each end, ``act(array, origin)``, read back."""
-    xs = [x for x, _c in state.amplitudes] or [0]
-    origin = 1 - min(xs)
-    a = np.zeros((max(xs) + origin + 2, 2, 1), dtype=complex)
-    for (x, c), amp in state.amplitudes.items():
-        a[x + origin, c, 0] = amp
-    act(a, origin)
-    return _from_lattice(a, origin)
+    a = np.zeros((2 * t + 2, columns.shape[1]), dtype=complex)
+    a[t:t + 2] = columns
+    for s, coins in enumerate(schedule.steps, start=1):
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                a[rows] = m @ a[rows]
+    return a.reshape(2, t + 1, -1).swapaxes(0, 1)
 
 
 def apply_coin(state: WalkState, coins) -> WalkState:
     """Apply position-dependent coin operations; identity where unspecified."""
     checked = {int(x): validate_coin(m, position=x) for x, m in coins.items()}
-    return _on_lattice(state, lambda a, origin: _apply_coins(a, checked, origin))
+    amps = {(int(x), int(c)): complex(a) for (x, c), a in state.amplitudes.items()}
+    for x, m in checked.items():
+        if (x, R) in amps or (x, L) in amps:
+            out = m @ np.array([[amps.get((x, R), 0j)], [amps.get((x, L), 0j)]])
+            amps[x, R], amps[x, L] = complex(out[R, 0]), complex(out[L, 0])
+    return WalkState({k: a for k, a in amps.items() if a != 0})
 
 
 def translate(state: WalkState) -> WalkState:
     """Conditional shift: (x, R) -> (x+1, R) and (x, L) -> (x-1, L)."""
-    return _on_lattice(state, lambda a, origin: _step(a, {}, origin))
+    return WalkState({(int(x) + (1 if c == R else -1), int(c)): complex(a)
+                      for (x, c), a in state.amplitudes.items() if a != 0})
 
 
 def run(schedule: CoinSchedule, coin_vector) -> WalkState:
     """Run the walk from x = 0: coin-then-shift for every schedule step."""
-    a = _propagate(schedule, coin_column(coin_vector)[:, None])
-    return _from_lattice(a, schedule.n_steps)
+    t = schedule.n_steps
+    final = _propagate(schedule, coin_column(coin_vector)[:, None])[:, :, 0]
+    return WalkState({(2 * int(k) - t, int(c)): complex(final[k, c])
+                      for k, c in zip(*np.nonzero(final))})
 
 
 def position_distribution(state: WalkState) -> dict:

@@ -307,3 +307,20 @@ def test_no_partial_output_on_error(tmp_path, capsys):
                      "--output", str(out))
     assert result.returncode == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sweep", "--counts", "abc"), "--counts"),
+    (("sweep", "--counts", "1e3"), "--counts"),
+    (("sweep", "--counts", "ideal"), "sweep requires --counts"),
+    (("extract", "--scenario", "sic", "--tolerance", "nan"), "--tolerance"),
+    (("extract", "--scenario", "sic", "--tolerance", "-1"), "--tolerance"),
+    (("extract", "--scenario", "sic", "--tolerance", "inf"), "--tolerance"),
+], ids=["sweep-counts-abc", "sweep-counts-1e3", "sweep-counts-ideal",
+        "tolerance-nan", "tolerance-negative", "tolerance-inf"])
+def test_bad_numeric_option_exits_1(args, message):
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

@@ -103,12 +103,29 @@ def test_imperfection_config_json_round_trip():
     cfg = ImperfectionConfig(
         visibilities={(1, 2): 0.998, (3, 4): 0.993},
         port_efficiencies={0: 1.0, 2: 0.97, 4: 0.96},
-        seed=11,
+        imbalance_budget=0.06,
     )
     back = ImperfectionConfig.from_json(cfg.to_json())
     assert back == cfg
     data = json.loads(cfg.to_json())
-    assert set(data) == {"visibilities", "port_efficiencies", "seed", "imbalance_budget"}
+    assert set(data) == {"visibilities", "port_efficiencies", "imbalance_budget"}
+
+
+def test_imperfection_config_ignores_a_seed_key():
+    data = {"visibilities": {"1-2": 0.93}, "seed": 7}
+    assert ImperfectionConfig.from_json(json.dumps(data)) == ImperfectionConfig(
+        visibilities={(1, 2): 0.93})
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.01])
+def test_imbalance_budget_must_be_finite_and_non_negative(budget):
+    with pytest.raises(ValidationError, match="imbalance_budget"):
+        ImperfectionConfig(port_efficiencies={0: 0.5, 2: 1.0}, imbalance_budget=budget)
+    with pytest.raises(ValidationError, match="imbalance_budget"):
+        ImperfectionConfig(port_efficiencies={0: 1.0, 2: 1.0}, imbalance_budget=budget)
+    text = json.dumps({"port_efficiencies": {"0": 0.5, "2": 1.0}, "imbalance_budget": budget})
+    with pytest.raises(ValidationError, match="imbalance_budget"):
+        ImperfectionConfig.from_json(text)
 
 
 # --- detector efficiencies ------------------------------------------------------

@@ -410,3 +410,15 @@ def test_waveplate_angle_normalised():
     assert WavePlate("HWP", 190.0).angle_deg == pytest.approx(10.0)
     with pytest.raises(ValidationError):
         WavePlate("FWP", 10.0)
+
+
+@pytest.mark.parametrize("plates, kind", [
+    (lambda: decompose(hwp(90.0)), "HWP"),
+    (lambda: decompose(hwp(180.0)), "HWP"),
+    (lambda: decompose(qwp(180.0)), "QWP"),
+    (lambda: [WavePlate("QWP", -1e-17)], "QWP"),
+], ids=["hwp-90", "hwp-180", "qwp-180", "qwp-minus-tiny"])
+def test_plate_angle_never_equals_its_period(plates, kind):
+    # -tiny % p rounds to p; each of these plates is the one at 0 degrees
+    (plate,) = plates()
+    assert (plate.kind, plate.angle_deg) == (kind, 0.0)

@@ -12,9 +12,9 @@ Two families of random schedules:
 Amplitudes, distributions and extracted effects agree within 1e-12; port
 and interferometer lists are equal exactly.  Each density comparison
 runs with visibilities 1, 0.97, uniform in [0.5, 1] and 0.  A few
-hand-made schedules probe the edges of the moving-frame density layout:
-one step, stray coins outside the light cone or on the wrong parity, and
-a support that reaches both ends of the lattice.  The dense
+hand-made schedules probe the edges of the walk frame: one step, stray
+coins outside the light cone or on the wrong parity, which every engine
+must ignore, and a support that reaches both ends of the lattice.  The dense
 oracle costs O(T dim^3) (4.5 s at n = 64 on a 2-core x86 host), so the
 peel-off density comparison runs on the circuits with n <= 16 and the one
 nearest n = 40; seven larger circuits up to the largest n are held to
@@ -198,6 +198,16 @@ def edge_schedules():
     }
 
 
+def assert_strays_act_on_nothing(schedule, without_strays, v):
+    """Every engine gives the same answer with and without coins on empty sites."""
+    assert walk.run(schedule, v) == walk.run(without_strays, v)
+    assert povm.extract_povm(schedule).to_json() == povm.extract_povm(without_strays).to_json()
+    assert optics.output_ports(schedule) == optics.output_ports(without_strays)
+    assert optics.interferometers(schedule) == optics.interferometers(without_strays)
+    got, want = optics.compile_netlist(schedule), optics.compile_netlist(without_strays)
+    assert (got.ports, got.interferometers) == (want.ports, want.interferometers)
+
+
 @pytest.mark.parametrize("name", list(edge_schedules()))
 def test_run_density_edge_schedules(name):
     schedule, without_strays = edge_schedules()[name]
@@ -208,6 +218,8 @@ def test_run_density_edge_schedules(name):
         assert_same_distribution(got, oracle.run_density(schedule, v, config))
         if without_strays is not None:
             assert got == experiment.run_density(without_strays, v, config)
+    if without_strays is not None:
+        assert_strays_act_on_nothing(schedule, without_strays, v)
     t = schedule.n_steps
     if name == "support-to-both-ends":
         assert optics.interferometers(schedule) == [(1, 2)]
@@ -219,9 +231,7 @@ def test_coins_off_the_lattice_act_on_nothing():
     far = walk.CoinSchedule([{**coins, 100: walk.NOT_COIN, -100: walk.NOT_COIN}
                              for coins in base.steps])
     v = povm.trine_state(2)
-    assert walk.run(far, v) == walk.run(base, v)
-    assert optics.output_ports(far) == optics.output_ports(base)
-    assert optics.interferometers(far) == optics.interferometers(base)
+    assert_strays_act_on_nothing(far, base, v)
     cfg = ImperfectionConfig(visibilities={(1, 2): 0.9})
     assert experiment.run_density(far, v, cfg) == experiment.run_density(base, v, cfg)
 
