@@ -1,7 +1,14 @@
 """Command-line front end: run scenarios, extract POVMs, compile netlists, sweep.
 
-Exit codes: 0 success, 1 validation error, 2 numerical-invariant failure
-(e.g. completeness residual above the requested tolerance).
+Each subcommand declares only the options it reads (``walkpovm CMD -h``
+lists them), so any other option is an error.  ``run`` and ``sample``
+compute probabilities one way, the density engine and then detector
+efficiencies; ``run`` prints them unless ``--counts`` gives a photon
+count, ``sample`` always draws photons (40000 by default).
+
+Exit codes: 0 success, 1 validation error (including an unknown option),
+2 numerical-invariant failure (e.g. completeness residual above the
+requested tolerance).
 """
 
 from __future__ import annotations
@@ -112,8 +119,8 @@ def _load_schedule(args) -> walk.CoinSchedule:
     return povm.scenario_schedule(args.scenario, args.theta)
 
 
-def _load_config(path: str | None) -> experiment.ImperfectionConfig:
-    if path is None or path == "none":
+def _load_config(path: str) -> experiment.ImperfectionConfig:
+    if path == "none":
         return experiment.IDEAL
     return experiment.ImperfectionConfig.from_json(_read_text(path, "imperfection config"))
 
@@ -134,38 +141,24 @@ def _json_dump(payload) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args, sampled_default: bool) -> str:
+def _cmd_run(args) -> str:
     schedule = _load_schedule(args)
-    theta = args.theta
-    state = parse_state(args.input, theta)
+    state = parse_state(args.input, args.theta)
     config = _load_config(args.imperfections)
     ports = optics.output_ports(schedule)
-
-    counts_arg = args.counts
-    if counts_arg is None:
-        counts_arg = "40000" if sampled_default else "ideal"
-    if counts_arg == "ideal" and not sampled_default:
-        mode = "ideal"
-        if config is experiment.IDEAL:
-            dist = walk.position_distribution(walk.run(schedule, state))
-        else:
-            dist = experiment.run_density(schedule, state, config)
-            dist = experiment.apply_efficiencies(dist, config.port_efficiencies)
-        rows = [(p, dist.get(p, 0.0), None) for p in ports]
-        table = None
-    else:
-        total = _photon_count(counts_arg, args.cmd)
-        mode = "sampled"
-        dist = experiment.run_density(schedule, state, config)
-        dist = experiment.apply_efficiencies(dist, config.port_efficiencies)
-        full = {p: dist.get(p, 0.0) for p in ports}
-        table = experiment.sample_counts(full, total, args.seed)
+    mode = "ideal" if args.cmd == "run" and args.counts == "ideal" else "sampled"
+    total = _photon_count(args.counts, args.cmd) if mode == "sampled" else None
+    dist = experiment.run_density(schedule, state, config)
+    dist = experiment.apply_efficiencies(dist, config.port_efficiencies)
+    rows = [(p, dist.get(p, 0.0), None) for p in ports]
+    if mode == "sampled":
+        table = experiment.sample_counts({p: v for p, v, _e in rows}, total, args.seed)
         rows = [(p, table.probabilities.get(p, 0.0), table.std_errors.get(p, 0.0))
                 for p in ports]
 
     if args.format == "json":
         payload = {
-            "command": "sample" if sampled_default else "run",
+            "command": args.cmd,
             "scenario": args.scenario or args.file,
             "state": args.input,
             "mode": mode,
@@ -175,23 +168,19 @@ def _cmd_run(args, sampled_default: bool) -> str:
                 for p, v, e in rows
             ],
         }
-        if theta is not None:
-            payload["theta"] = _round_sig(theta)
+        if args.theta is not None:
+            payload["theta"] = _round_sig(args.theta)
         if mode == "sampled":
             payload["counts"] = {str(p): table.counts.get(p, 0) for p in ports}
             payload["total"] = table.total
             payload["seed"] = args.seed
         return _json_dump(payload)
 
-    if mode == "ideal":
-        header = ["state"] + [f"P{p}" for p in ports]
-        cells = [args.input] + [_fmt(v) for _p, v, _e in rows]
-    else:
-        header = ["state"]
-        cells = [args.input]
-        for p, v, e in rows:
-            header += [f"P{p}", f"err{p}"]
-            cells += [_fmt(v), _fmt(e)]
+    header, cells = ["state"], [args.input]
+    for p, v, e in rows:
+        header += [f"P{p}"] if e is None else [f"P{p}", f"err{p}"]
+        cells += [_fmt(v)] if e is None else [_fmt(v), _fmt(e)]
+    if mode == "sampled":
         header += ["total", "seed"]
         cells += [str(table.total), str(args.seed)]
     return ",".join(header) + "\n" + ",".join(cells) + "\n"
@@ -246,7 +235,7 @@ def _cmd_sweep(args) -> str:
     else:
         thetas = [k * math.pi / 20.0 for k in range(1, 11)]
     config = _load_config(args.imperfections)
-    total = 40000 if args.counts is None else _photon_count(args.counts, "sweep")
+    total = _photon_count(args.counts, args.cmd)
     rows = experiment.usd_sweep(thetas, config, total=total, seed=args.seed)
     if args.format == "json":
         payload = {
@@ -278,40 +267,42 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="walkpovm", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_input=False):
-        p.add_argument("--scenario", choices=["trine", "sic", "usd"])
-        p.add_argument("--file", help="custom schedule JSON file")
-        p.add_argument("--theta", type=parse_angle,
-                       help="angle in radians, or degrees with a ° / deg suffix")
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="named state (psi3-1, psibar4-2, psi+, H, ...) or 'c1:c2'")
-            p.add_argument("--imperfections", default="none",
-                           help="imperfection config JSON file, or 'none'")
+    def command(name, handler, help, schedule=True):
+        # no prefix matching: an abbreviation must not reach another option
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        if schedule:
+            p.add_argument("--scenario", choices=["trine", "sic", "usd"])
+            p.add_argument("--file", help="custom schedule JSON file")
+            p.add_argument("--theta", type=parse_angle,
+                           help="angle in radians, or degrees with a ° / deg suffix")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write to a file instead of stdout")
+        return p
+
+    def sampling(p, counts, help):
+        p.add_argument("--counts", default=counts, help=help)
+        p.add_argument("--imperfections", default="none",
+                       help="imperfection config JSON file, or 'none'")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=_tolerance, default=1e-10)
 
-    p_run = sub.add_parser("run", help="simulate a measurement scenario")
-    common(p_run, needs_input=True)
-    p_run.add_argument("--counts", help="'ideal' (default) or a photon count")
+    for name, help, counts, counts_help in (
+        ("run", "simulate a measurement scenario", "ideal", "'ideal' (default) or a photon count"),
+        ("sample", "like run, but always sampled", "40000", "photon count (default 40000)"),
+    ):
+        p = command(name, _cmd_run, help)
+        p.add_argument("--input", required=True,
+                       help="named state (psi3-1, psibar4-2, psi+, H, ...) or 'c1:c2'")
+        sampling(p, counts, counts_help)
 
-    p_sample = sub.add_parser("sample", help="like run, but always sampled")
-    common(p_sample, needs_input=True)
-    p_sample.add_argument("--counts", help="photon count (default 40000)")
+    p = command("extract", _cmd_extract, "extract the implemented POVM")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
 
-    p_extract = sub.add_parser("extract", help="extract the implemented POVM")
-    common(p_extract)
+    command("compile", _cmd_compile, "compile to an optical netlist")
 
-    p_compile = sub.add_parser("compile", help="compile to an optical netlist")
-    common(p_compile)
-
-    p_sweep = sub.add_parser("sweep", help="discrimination probability vs angle")
-    common(p_sweep)
-    p_sweep.add_argument("--thetas", help="comma-separated angles (default 10-point grid)")
-    p_sweep.add_argument("--counts", help="photon count per point (default 40000)")
-    p_sweep.add_argument("--imperfections", default="none")
+    p = command("sweep", _cmd_sweep, "discrimination probability vs angle", schedule=False)
+    p.add_argument("--thetas", help="comma-separated angles (default 10-point grid)")
+    sampling(p, "40000", "photon count per point (default 40000)")
 
     return parser
 
@@ -320,18 +311,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "run":
-            text = _cmd_run(args, sampled_default=False)
-        elif args.cmd == "sample":
-            text = _cmd_run(args, sampled_default=True)
-        elif args.cmd == "extract":
-            text = _cmd_extract(args)
-        elif args.cmd == "compile":
-            text = _cmd_compile(args)
-        elif args.cmd == "sweep":
-            text = _cmd_sweep(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.cmd!r}")
+        text = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

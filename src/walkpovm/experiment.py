@@ -55,7 +55,7 @@ class ImperfectionConfig:
         if self.port_efficiencies:
             values = list(self.port_efficiencies.values())
             spread = (max(values) - min(values)) / max(values)
-            if spread > self.imbalance_budget + 1e-12:
+            if spread > self.imbalance_budget + DEFAULT.norm:
                 raise ValidationError(
                     f"efficiency imbalance {spread:.4f} exceeds budget "
                     f"{self.imbalance_budget:.4f}"
@@ -166,8 +166,16 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     return {2 * k - t: max(0.0, float(q)) for k, q in enumerate(p[:t + 1] + p[t + 1:])}
 
 
+def _check_finite(dist: dict) -> None:
+    """NaN fails every comparison, so the callers' range checks would let it through."""
+    for port, q in dist.items():
+        if not math.isfinite(q):
+            raise ValidationError(f"probability for port {port} is not finite: {q}")
+
+
 def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:
     """Reweight port probabilities by detector efficiencies and renormalise."""
+    _check_finite(dist)
     for port, eta in efficiencies.items():
         if not 0.0 < eta <= 1.0:
             raise ValidationError(f"efficiency for port {port} must lie in (0, 1]")
@@ -182,9 +190,10 @@ def sample_counts(dist: dict, total: int, seed: int) -> CountTable:
     """Multinomial draw over ports; identical seeds give identical tables."""
     if total <= 0:
         raise ValidationError("total count must be positive")
+    _check_finite(dist)
     ports = sorted(dist)
     probs = np.array([dist[p] for p in ports], dtype=float)
-    if np.any(probs < -1e-12):
+    if np.any(probs < DEFAULT.psd_floor):
         raise ValidationError("negative probabilities cannot be sampled")
     probs = np.clip(probs, 0.0, None)
     if abs(probs.sum() - 1.0) > DEFAULT.distribution:
@@ -214,7 +223,7 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     """
     thetas = list(theta_values)
     for th in thetas:
-        if not 0.0 < abs(th) <= np.pi / 2.0 + 1e-12:
+        if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:
             raise ValidationError("sweep angles must have magnitude in (0, pi/2]")
     if config is None:
         config = IDEAL

@@ -225,7 +225,7 @@ def usd_plate_angle(theta: float) -> float:
 
     Equals arcsin(tan(theta/2)) / 2 in degrees; valid for 0 < theta <= pi/2.
     """
-    if not 0.0 < theta <= math.pi / 2.0 + 1e-12:
+    if not 0.0 < theta <= math.pi / 2.0 + DEFAULT.norm:
         raise ValidationError("theta must lie in (0, pi/2]")
     return math.degrees(0.5 * math.asin(min(1.0, math.tan(theta / 2.0))))
 
@@ -241,7 +241,7 @@ def _structure(schedule: CoinSchedule):
     """(ports, interferometers) of the walk from x = 0, in one reachability pass.
 
     A bool vector walks the frame of ``walk._coin_rows`` with each coin's
-    pattern of entries above 1e-12; an OR of ANDs cannot cancel, so a row is
+    pattern of entries above ``DEFAULT.norm``; an OR of ANDs cannot cancel, so a row is
     True exactly when some path reaches it.
     """
     t = schedule.n_steps
@@ -254,7 +254,7 @@ def _structure(schedule: CoinSchedule):
             rows = _coin_rows(t, s, x)
             if rows is not None:
                 mixes = mixes or (s >= 3 and lit[rows].all() and _is_mixing(m))
-                lit[rows] = (np.abs(m) > 1e-12) @ lit[rows]
+                lit[rows] = (np.abs(m) > DEFAULT.norm) @ lit[rows]
         if mixes:
             pairs.append((s - 2, s - 1))
     ports = [2 * k - t for k in np.flatnonzero(lit[:t + 1] | lit[t + 1:]).tolist()]
@@ -315,7 +315,7 @@ def state_prep_angles(target, include_qwp: bool | None = None):
     psi = math.degrees(0.5 * math.atan2(s2, s1))
     chi = math.degrees(0.5 * math.asin(max(-1.0, min(1.0, s3))))
 
-    if abs(s3) < 1e-12:
+    if abs(s3) < DEFAULT.norm:
         half = psi / 2.0
         if include_qwp:
             return half, (psi + 90.0) % 180.0

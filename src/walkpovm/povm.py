@@ -178,7 +178,7 @@ def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
     """Unit row orthogonal to ``row`` whose first nonzero entry is real positive."""
     comp = np.array([-np.conj(row[1]), np.conj(row[0])])
     for entry in comp:
-        if abs(entry) > 1e-12:
+        if abs(entry) > DEFAULT.norm:
             comp = comp * (np.conj(entry) / abs(entry))
             break
     return comp
@@ -317,7 +317,7 @@ def usd_scenario(theta: float) -> list:
     Requires 0 < theta <= pi/2 so that tan(theta/2) <= 1 and the matrix
     square root stays real.
     """
-    if not 0.0 < theta <= np.pi / 2.0 + 1e-12:
+    if not 0.0 < theta <= np.pi / 2.0 + DEFAULT.norm:
         raise ValidationError("theta must lie in (0, pi/2]")
     t = np.tan(theta / 2.0)
     q = np.sqrt(max(0.0, 1.0 - t * t))
@@ -330,7 +330,7 @@ def usd_scenario(theta: float) -> list:
 
 def usd_success_probability(theta: float) -> float:
     """Probability of a conclusive outcome: 2 sin^2(theta/2) = 1 - cos(theta)."""
-    if not 0.0 <= theta <= np.pi / 2.0 + 1e-12:
+    if not 0.0 <= theta <= np.pi / 2.0 + DEFAULT.norm:
         raise ValidationError("theta must lie in [0, pi/2]")
     return float(1.0 - np.cos(theta))
 
@@ -377,7 +377,7 @@ def scenario_port_map(name: str, theta: float = None) -> dict:
         weight = 2.0 / len(states)
         projector = weight * np.outer(v, v.conj())
         for e in extracted.elements:
-            if np.max(np.abs(e.matrix - projector)) < 1e-9:
+            if np.max(np.abs(e.matrix - projector)) < DEFAULT.synthesis_roundtrip:
                 mapping[i] = e.port
                 break
     return mapping

@@ -324,3 +324,24 @@ def test_bad_numeric_option_exits_1(args, message):
     assert result.stderr.startswith("error:") and message in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("compile", "--scenario", "sic", "--seed", "3"),
+    ("compile", "--scenario", "sic", "--tolerance", "5"),
+    ("extract", "--scenario", "sic", "--seed", "1"),
+    ("run", "--scenario", "trine", "--input", "psi3-1", "--tolerance", "5"),
+    ("sample", "--scenario", "trine", "--input", "psi3-1", "--tolerance", "5"),
+    ("sweep", "--scenario", "trine"),
+    ("sweep", "--file", "x"),
+    ("sweep", "--theta", "0.5"),
+    ("sweep", "--tolerance", "5"),
+], ids=["compile-seed", "compile-tolerance", "extract-seed", "run-tolerance",
+        "sample-tolerance", "sweep-scenario", "sweep-file", "sweep-theta", "sweep-tolerance"])
+def test_option_the_command_does_not_read_exits_1(args):
+    # --theta is also a prefix of sweep's --thetas, so this pins exact matching
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

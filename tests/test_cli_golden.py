@@ -37,8 +37,8 @@ def _cases() -> dict:
         for name, (scenario, state) in _SCENARIOS.items():
             cases[f"run-{name}-{fmt}"] = ["run", *scenario, "--input", state, *tail]
             cases[f"sample-{name}-{fmt}"] = ["sample", *scenario, "--input", state, *tail]
-            cases[f"extract-{name}-{fmt}"] = ["extract", *scenario, *tail]
-            cases[f"compile-{name}-{fmt}"] = ["compile", *scenario, *tail]
+            cases[f"extract-{name}-{fmt}"] = ["extract", *scenario, "--format", fmt]
+            cases[f"compile-{name}-{fmt}"] = ["compile", *scenario, "--format", fmt]
         cases[f"sweep-{fmt}"] = ["sweep", *tail]
         cases[f"sample-trine-imperfect-{fmt}"] = [
             "run", "--scenario", "trine", "--input", "psibar3-2", "--counts", "40000",

@@ -195,6 +195,19 @@ def test_sample_counts_rejects_bad_input():
         sample_counts({0: 1.0}, 0, seed=0)
 
 
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda dist: sample_counts(dist, 100, seed=0),
+    lambda dist: apply_efficiencies(dist, {}),
+], ids=["sample_counts", "apply_efficiencies"])
+def test_non_finite_probability_is_rejected(call, value):
+    # NaN passes every range check, and an infinite entry would be reported
+    # as a bad sum or a NaN result rather than as the entry at fault
+    with pytest.raises(ValidationError, match="port 0 is not finite"):
+        call({0: value, 2: 0.5})
+
 def test_sample_counts_law_of_large_numbers():
     dist = {4: 2 / 3, 2: 1 / 6, 0: 1 / 6}
     estimates = [
