@@ -296,7 +296,7 @@ def build_parser() -> _Parser:
         sampling(p, counts, counts_help)
 
     p = command("extract", _cmd_extract, "extract the implemented POVM")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT.completeness)
 
     command("compile", _cmd_compile, "compile to an optical netlist")
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import interferometers
 from .povm import usd_scenario, usd_state, usd_success_probability, build_circuit
 from .tolerances import DEFAULT
 from .walk import CoinSchedule, ValidationError, _coin_rows, coin_column, decoding
@@ -139,7 +138,7 @@ def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig 
     if config is None:
         config = IDEAL
     damping = {}
-    for pair in interferometers(schedule):
+    for pair in schedule._structure[1]:
         v = config.visibilities.get(pair, 1.0)
         for member in pair:
             damping[member] = damping.get(member, 1.0) * v

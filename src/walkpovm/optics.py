@@ -22,8 +22,8 @@ list right to left).  It searches nothing: the coin's Bloch rotation
 picks closed-form candidates with none, one, two and three plates, and
 the first whose product matches the coin is returned, each verified
 once.  ``compile_netlist`` lowers a schedule's coins the same way
-without checking them again for unitarity, since every ``CoinSchedule``
-is checked when it is built.
+without checking them again, and reads the ports and interferometers
+that every ``CoinSchedule`` finds once.
 """
 
 from __future__ import annotations
@@ -35,17 +35,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _coin_rows, validate_coin
+from .walk import CoinSchedule, ValidationError, validate_coin
 
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
     [[0.0, -1.0j], [1.0j, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ], dtype=complex)
-
-# tolerance for the SO(3) pattern tests inside decompose; final results
-# are always re-verified against the unitary at DEFAULT.plate_product
-_SO3_TOL = 1e-8
 
 
 def hwp(angle_deg: float) -> np.ndarray:
@@ -178,12 +174,12 @@ def _candidates(r: np.ndarray):
 
     The gates only skip candidates that cannot fit; the caller verifies each.
     """
-    if np.max(np.abs(r - np.eye(3))) <= _SO3_TOL:
+    if np.max(np.abs(r - np.eye(3))) <= DEFAULT.so3_pattern:
         yield []
-    if abs(r[1, 1] + 1.0) <= _SO3_TOL:
+    if abs(r[1, 1] + 1.0) <= DEFAULT.so3_pattern:
         yield [WavePlate("HWP", _hwp_angle(r))]
-    if abs(r[1, 1]) <= _SO3_TOL:
-        if abs(np.trace(r) - 1.0) <= _SO3_TOL:
+    if abs(r[1, 1]) <= DEFAULT.so3_pattern:
+        if abs(np.trace(r) - 1.0) <= DEFAULT.so3_pattern:
             # quarter turn; its axis is the vector of r's antisymmetric part
             two_alpha = math.atan2(r[2, 1] - r[1, 2], r[1, 0] - r[0, 1])
             yield [WavePlate("QWP", math.degrees(two_alpha) / 2.0)]
@@ -230,37 +226,6 @@ def usd_plate_angle(theta: float) -> float:
     return math.degrees(0.5 * math.asin(min(1.0, math.tan(theta / 2.0))))
 
 
-def _is_mixing(m: np.ndarray) -> bool:
-    """True when some output of the coin superposes both inputs."""
-    return bool(
-        abs(m[0, 0] * m[0, 1]) > DEFAULT.norm or abs(m[1, 0] * m[1, 1]) > DEFAULT.norm
-    )
-
-
-def _structure(schedule: CoinSchedule):
-    """(ports, interferometers) of the walk from x = 0, in one reachability pass.
-
-    A bool vector walks the frame of ``walk._coin_rows`` with each coin's
-    pattern of entries above ``DEFAULT.norm``; an OR of ANDs cannot cancel, so a row is
-    True exactly when some path reaches it.
-    """
-    t = schedule.n_steps
-    lit = np.zeros(2 * t + 2, dtype=bool)
-    lit[t:t + 2] = True
-    pairs = []
-    for s, coins in enumerate(schedule.steps, start=1):
-        mixes = False
-        for x, m in coins.items():
-            rows = _coin_rows(t, s, x)
-            if rows is not None:
-                mixes = mixes or (s >= 3 and lit[rows].all() and _is_mixing(m))
-                lit[rows] = (np.abs(m) > DEFAULT.norm) @ lit[rows]
-        if mixes:
-            pairs.append((s - 2, s - 1))
-    ports = [2 * k - t for k in np.flatnonzero(lit[:t + 1] | lit[t + 1:]).tolist()]
-    return ports, pairs
-
-
 def interferometers(schedule: CoinSchedule) -> list:
     """Displacer pairs that recombine paths before a mixing coin.
 
@@ -268,12 +233,12 @@ def interferometers(schedule: CoinSchedule) -> list:
     from x = 0, interferes the two path histories merged by displacer t-1
     after they split at t-2; the pair (t-2, t-1) must stay phase stable.
     """
-    return _structure(schedule)[1]
+    return list(schedule._structure[1])
 
 
 def output_ports(schedule: CoinSchedule) -> list:
     """Positions reachable at the end of the walk from the x = 0 start."""
-    return _structure(schedule)[0]
+    return list(schedule._structure[0])
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
@@ -283,12 +248,12 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
         for x in sorted(coins):
             for p in _lower(coins[x]):
                 plates.append(replace(p, position=x, step=s))
-    ports, pairs = _structure(schedule)
+    ports, pairs = schedule._structure
     return OpticalNetlist(
         displacers=schedule.n_steps,
         plates=tuple(plates),
-        ports=tuple(ports),
-        interferometers=tuple(pairs),
+        ports=ports,
+        interferometers=pairs,
     )
 
 

@@ -18,6 +18,7 @@ an isometry and every peel is feasible.  Outcome i leaves at port
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .walk import (
     complex_from_json,
     complex_to_json,
     decoding,
-    validate_coin,
 )
 
 HADAMARD_LIKE = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -67,25 +67,20 @@ class PovmElement:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError(f"element {label}: matrix must be 2x2")
-        if not np.isfinite(m).all():
+        a, b, c, d = m.ravel().tolist()
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValidationError(f"element {label}: matrix is not finite")
-        if not np.max(np.abs(m - m.conj().T)) <= DEFAULT.hermiticity:
+        # the entries of M - M^dag
+        if not max(2.0 * abs(a.imag), 2.0 * abs(d.imag),
+                   abs(b - c.conjugate())) <= DEFAULT.hermiticity:
             raise ValidationError(f"element {label}: matrix is not Hermitian")
-        if not np.linalg.eigvalsh(m)[0] >= DEFAULT.psd_floor:
+        # smaller eigenvalue, from the lower triangle as eigvalsh reads it
+        mean, half_gap = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
+        if not mean - math.hypot(half_gap, abs(c)) >= DEFAULT.psd_floor:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
-        self._store(m, label, port)
-
-    def _store(self, m: np.ndarray, label: str, port: int) -> None:
         object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "port", int(port))
-
-    @classmethod
-    def _of_kraus(cls, kraus: np.ndarray, label: str, port: int) -> "PovmElement":
-        """The effect K^dag K of a Kraus map K, PSD by construction, so left unchecked."""
-        element = cls.__new__(cls)
-        element._store(kraus.conj().T @ kraus, label, port)
-        return element
 
     @property
     def weight(self) -> float:
@@ -133,21 +128,17 @@ class PovmSet:
 
 @dataclass(frozen=True)
 class IterationPair:
-    """One peel-off iteration: c1 acts at x = 0, c2 at x = 1."""
+    """One peel-off iteration: c1 acts at x = 0, c2 at x = 1; ``build_circuit`` checks both."""
 
     c1: np.ndarray
     c2: np.ndarray
-
-    def __init__(self, c1, c2):
-        object.__setattr__(self, "c1", validate_coin(c1, position=0))
-        object.__setattr__(self, "c2", validate_coin(c2, position=1))
 
 
 def build_circuit(pairs) -> CoinSchedule:
     """Lay out the peel-off schedule: 2 steps per iteration pair.
 
-    ``IterationPair`` has checked every coin, so the schedule does not
-    check them again.
+    The schedule checks every coin: a bad c1 of pair k is named as position
+    0 in step 2k + 1, a bad c2 as position 1 in step 2k + 2.
     """
     pairs = list(pairs)
     if not pairs:
@@ -156,7 +147,7 @@ def build_circuit(pairs) -> CoinSchedule:
     for p in pairs:
         steps.append({0: p.c1})
         steps.append({1: p.c2, -1: NOT_COIN})
-    return CoinSchedule._of_checked(steps)
+    return CoinSchedule(steps)
 
 
 def extract_povm(schedule: CoinSchedule) -> PovmSet:
@@ -169,7 +160,7 @@ def extract_povm(schedule: CoinSchedule) -> PovmSet:
     t = schedule.n_steps
     final = _propagate(schedule, IDENTITY_COIN)
     return PovmSet.build(
-        PovmElement._of_kraus(final[k], f"E{2 * k - t}", 2 * k - t)
+        PovmElement(final[k].conj().T @ final[k], f"E{2 * k - t}", 2 * k - t)
         for k in np.flatnonzero(final.any(axis=(1, 2))).tolist()
     )
 
@@ -184,9 +175,9 @@ def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
     return comp
 
 
-def _rank_one_row(element: PovmElement, tol: float) -> np.ndarray:
+def _rank_one_row(element: PovmElement) -> np.ndarray:
     vals, vecs = np.linalg.eigh(element.matrix)
-    if vals[0] > tol:
+    if vals[0] > DEFAULT.rank_one:
         raise ValidationError(f"element {element.label} is not rank 1")
     w = max(vals[1], 0.0)
     return np.sqrt(w) * vecs[:, 1].conj()
@@ -207,7 +198,7 @@ def synthesize(target: PovmSet):
     n = len(target.elements)
     if n < 2:
         raise ValidationError("a POVM needs at least two outcomes")
-    g = np.array([_rank_one_row(e, DEFAULT.rank_one) for e in target.elements])
+    g = np.array([_rank_one_row(e) for e in target.elements])
     # the residual of the rows actually peeled, not the one the target carries
     residual = float(np.linalg.norm(g.conj().T @ g - np.eye(2), ord=2))
     if residual >= DEFAULT.completeness:

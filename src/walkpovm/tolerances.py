@@ -18,6 +18,9 @@ class Tolerances:
     completeness: float = 1e-10
     synthesis_roundtrip: float = 1e-9
     plate_product: float = 1e-10
+    # tolerance for the SO(3) pattern tests inside decompose; final results
+    # are always re-verified against the unitary at plate_product
+    so3_pattern: float = 1e-8
     distribution: float = 1e-9
 
 

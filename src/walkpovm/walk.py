@@ -9,14 +9,18 @@ values, so states can be shared freely between threads.
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
 data; ``apply_coin`` and ``translate`` act on the sparse dict directly.
-Complex values cross JSON as ``{"re", "im"}`` cells only.
+A ``CoinSchedule`` checks its coins once, when built, and finds its ports
+and interferometers once, on first use.  Complex values cross JSON as
+``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,18 +42,31 @@ class ValidationError(ValueError):
 def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     """Return the coin as a complex array, rejecting non-unitary input.
 
+    Entries must be finite and M^dag M - I within ``DEFAULT.unitarity``.
     The error message names the offending position (and step, if given).
     """
     m = np.asarray(matrix, dtype=complex)
-    if (m.shape != (2, 2) or not np.isfinite(m).all()
-            or not np.max(np.abs(m.conj().T @ m - np.eye(2))) <= DEFAULT.unitarity):
-        where = ""
-        if position is not None:
-            where += f" at position {position}"
-        if step is not None:
-            where += f" in step {step}"
-        raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
-    return m
+    if m.shape == (2, 2):
+        a, b, c, d = m.ravel().tolist()
+        # each entry of M^dag M - I is compared on its own: a fold such as max() skips a NaN
+        if (all(map(cmath.isfinite, (a, b, c, d)))
+                and abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= DEFAULT.unitarity
+                and abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= DEFAULT.unitarity
+                and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT.unitarity):
+            return m
+    where = ""
+    if position is not None:
+        where += f" at position {position}"
+    if step is not None:
+        where += f" in step {step}"
+    raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
+
+
+def _is_mixing(m: np.ndarray) -> bool:
+    """True when some output of the coin superposes both inputs."""
+    return bool(
+        abs(m[0, 0] * m[0, 1]) > DEFAULT.norm or abs(m[1, 0] * m[1, 1]) > DEFAULT.norm
+    )
 
 
 def coin_column(vector) -> np.ndarray:
@@ -133,9 +150,9 @@ class WalkState:
 class CoinSchedule:
     """Ordered walk steps; each step maps position -> coin operation.
 
-    Positions absent from a step's map receive the identity.  Every coin
-    is checked for unitarity on construction, except through
-    ``_of_checked``, which takes coins already checked elsewhere.
+    Positions absent from a step's map receive the identity.  The one
+    constructor checks every coin for unitarity; ``_structure`` finds the
+    ports and interferometers on first use and keeps them.
     """
 
     steps: tuple
@@ -146,16 +163,33 @@ class CoinSchedule:
             for s, coins in enumerate(steps, start=1)
         ))
 
-    @classmethod
-    def _of_checked(cls, steps) -> "CoinSchedule":
-        """A schedule of coins already checked for unitarity, so left unchecked."""
-        schedule = cls.__new__(cls)
-        object.__setattr__(schedule, "steps", tuple(steps))
-        return schedule
-
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def _structure(self) -> tuple:
+        """(ports, interferometers) of the walk from x = 0, as tuples, in one pass.
+
+        A bool vector walks the frame of ``_coin_rows`` with each coin's
+        pattern of entries above ``DEFAULT.norm``; an OR of ANDs cannot
+        cancel, so a row is True exactly when some path reaches it.
+        """
+        t = self.n_steps
+        lit = np.zeros(2 * t + 2, dtype=bool)
+        lit[t:t + 2] = True
+        pairs = []
+        for s, coins in enumerate(self.steps, start=1):
+            mixes = False
+            for x, m in coins.items():
+                rows = _coin_rows(t, s, x)
+                if rows is not None:
+                    mixes = mixes or (s >= 3 and lit[rows].all() and _is_mixing(m))
+                    lit[rows] = (np.abs(m) > DEFAULT.norm) @ lit[rows]
+            if mixes:
+                pairs.append((s - 2, s - 1))
+        ports = tuple(2 * k - t for k in np.flatnonzero(lit[:t + 1] | lit[t + 1:]).tolist())
+        return ports, tuple(pairs)
 
     def to_json(self) -> str:
         out = [

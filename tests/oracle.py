@@ -30,7 +30,6 @@ from walkpovm.experiment import IDEAL
 from walkpovm.optics import (
     _SIGMA,
     WavePlate,
-    _is_mixing,
     _phase_aligned_dist,
     _so3,
     plates_matrix,
@@ -38,7 +37,7 @@ from walkpovm.optics import (
 )
 from walkpovm.povm import PovmElement, PovmSet
 from walkpovm.tolerances import DEFAULT
-from walkpovm.walk import L, R, ValidationError, WalkState, validate_coin
+from walkpovm.walk import L, R, ValidationError, WalkState, _is_mixing, validate_coin
 
 # tolerance for the SO(3) pattern tests inside decompose; final results
 # are always re-verified against the unitary at DEFAULT.plate_product

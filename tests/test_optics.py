@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from conftest import assert_equal_upto_phase, random_unitary
+from walkpovm.experiment import ImperfectionConfig, run_density
 from walkpovm.optics import (
     WavePlate,
     _phase_aligned_dist,
@@ -13,7 +14,9 @@ from walkpovm.optics import (
     decompose,
     format_dms,
     hwp,
+    interferometers,
     lab_qwp_angle,
+    output_ports,
     plates_matrix,
     prepared_state,
     qwp,
@@ -280,6 +283,29 @@ def test_compile_empty_schedule():
     assert net.displacers == 0
     assert net.plates == ()
     assert net.interferometers == ()
+
+
+def test_reachability_is_found_once_per_schedule(monkeypatch):
+    prop = CoinSchedule.__dict__["_structure"]
+    original, passes = prop.func, []
+
+    def counting(schedule):
+        passes.append(schedule)
+        return original(schedule)
+
+    monkeypatch.setattr(prop, "func", counting)
+    schedule = scenario_schedule("sic")
+    pairs = interferometers(schedule)
+    pairs.append((98, 99))
+    ports = output_ports(schedule)
+    ports.clear()
+    net = compile_netlist(schedule)
+    run_density(schedule, [1.0, 0.0], ImperfectionConfig(visibilities={(1, 2): 0.9}))
+    assert len(passes) == 1 and passes[0] is schedule
+    # the returned lists are the caller's: changing them changes no later result
+    assert interferometers(schedule) == [(1, 2), (3, 4)] == list(net.interferometers)
+    assert output_ports(schedule) == [0, 2, 4, 6] == list(net.ports)
+    assert len(passes) == 1
 
 
 def test_compiled_plates_reproduce_every_coin():

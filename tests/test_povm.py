@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_rank1_povm, random_unitary
 from walkpovm import optics, povm, walk
+from walkpovm.experiment import run_density
 from walkpovm.povm import (
     IterationPair,
     PovmElement,
@@ -410,20 +411,38 @@ def test_usd_port_map_is_derived_by_extraction(theta):
 
 
 def test_each_coin_is_checked_once(monkeypatch):
-    # IterationPair checks the 2(n - 1) coins; build_circuit and
-    # compile_netlist trust them rather than checking all 3(n - 1) again
+    # a schedule checks its 3(n - 1) coins, NOTs included, when it is built,
+    # and nothing that reads a built schedule checks them again
     original, calls = walk.validate_coin, []
 
     def counting(matrix, **where):
         calls.append(where)
         return original(matrix, **where)
 
-    for module in (walk, povm, optics):
+    for module in (walk, optics):
         monkeypatch.setattr(module, "validate_coin", counting)
     mats = random_rank1_povm(np.random.default_rng(5), 8)
     pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
-    optics.compile_netlist(build_circuit(pairs))
-    assert len(calls) == 14
+    assert len(calls) == 21  # the round-trip schedule
+    schedule = build_circuit(pairs)
+    assert len(calls) == 42 and all("step" in where for where in calls)
+    optics.compile_netlist(schedule)
+    extract_povm(schedule)
+    run_density(schedule, [1.0, 0.0])
+    optics.output_ports(schedule)
+    optics.interferometers(schedule)
+    assert len(calls) == 42
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("coin", ["c1", "c2"])
+def test_build_circuit_names_a_bad_coin_by_step_and_position(k, coin):
+    pairs = [IterationPair(I2, I2) for _ in range(3)]
+    bad = np.array([[1, 0], [1, 1]])
+    pairs[k] = IterationPair(bad, I2) if coin == "c1" else IterationPair(I2, bad)
+    where = f"position 0 in step {2 * k + 1}" if coin == "c1" else f"position 1 in step {2 * k + 2}"
+    with pytest.raises(ValidationError, match=f"^coin operation at {where} is not a 2x2 unitary$"):
+        build_circuit(pairs)
 
 
 def test_synthesize_seeded_targets_up_to_64_outcomes():

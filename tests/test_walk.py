@@ -258,18 +258,33 @@ def test_malformed_json_is_a_validation_error(decode, text):
         decode(text)
 
 
+def _schedule_with_cell(value):
+    # one cell of the coin at position 1 in step 2 set to value; json writes NaN and Infinity
+    data = json.loads(CoinSchedule([{}, {1: NOT_COIN}]).to_json())
+    data["steps"][1]["coins"][0]["matrix"][1][0]["re"] = value
+    return CoinSchedule.from_json(json.dumps(data))
+
+
 _BOUNDARIES = {
     "coin_column": lambda x: coin_column([x, 1.0]),
     "validate_coin": lambda x: validate_coin([[x, 0.0], [0.0, 1.0]]),
+    "validate_coin_01": lambda x: validate_coin([[1.0, x], [0.0, 1.0]]),
+    "validate_coin_10": lambda x: validate_coin([[1.0, 0.0], [x, 1.0]]),
+    "validate_coin_11": lambda x: validate_coin([[1.0, 0.0], [0.0, x]]),
+    "CoinSchedule.from_json": _schedule_with_cell,
     "PovmElement": lambda x: PovmElement([[x, 0.0], [0.0, 1.0]], "e", 0),
+    "PovmElement_01": lambda x: PovmElement([[1.0, x], [0.0, 1.0]], "e", 0),
+    "PovmElement_11": lambda x: PovmElement([[1.0, 0.0], [0.0, x]], "e", 0),
     "PovmElement_offdiagonal": lambda x: PovmElement([[1.0, x], [x, 1.0]], "e", 0),
     "state_prep_angles": lambda x: state_prep_angles([x, 1.0]),
     "cli.parse_state": lambda x: cli.parse_state(f"{x}:1", None),
 }
+# entries whose message must also name where the bad value sits
+_NAMED = {"CoinSchedule.from_json": r"^coin operation at position 1 in step 2 "}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("entry", sorted(_BOUNDARIES))
 def test_non_finite_input_is_rejected(entry, value):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=_NAMED.get(entry)):
         _BOUNDARIES[entry](value)
