@@ -6,6 +6,10 @@ compute probabilities one way, the density engine and then detector
 efficiencies; ``run`` prints them unless ``--counts`` gives a photon
 count, ``sample`` always draws photons (40000 by default).
 
+A handler returns what it reports, unrounded: a JSON payload, a CSV
+header and CSV rows.  ``_render`` alone formats numbers, rounding JSON
+floats to 6 significant digits and printing CSV floats as ``%.6g``.
+
 Exit codes: 0 success, 1 validation error (including an unknown option),
 2 numerical-invariant failure (e.g. completeness residual above the
 requested tolerance).
@@ -32,16 +36,6 @@ class InvariantError(RuntimeError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
-
-
-def _round_sig(x: float, digits: int = 6) -> float:
-    if x == 0:
-        return 0.0
-    return float(f"{x:.{digits}g}")
-
-
-def _fmt(x: float, digits: int = 6) -> str:
-    return f"{x:.{digits}g}"
 
 
 def parse_angle(text: str) -> float:
@@ -82,7 +76,7 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
                 v = np.array([complex(parts[0]), complex(parts[1])])
             except ValueError as exc:
                 raise ValidationError(f"cannot parse state {text!r}") from exc
-            nrm = np.linalg.norm(v)
+            nrm = walk._norm(v)
             if not DEFAULT.norm <= nrm < math.inf:
                 raise ValidationError("explicit state must be nonzero and finite")
             return v / nrm
@@ -125,23 +119,32 @@ def _load_config(path: str) -> experiment.ImperfectionConfig:
     return experiment.ImperfectionConfig.from_json(_read_text(path, "imperfection config"))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _round_floats(value):
+    """``value`` with every float rounded to 6 significant digits, zero as 0.0."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}") if value else 0.0
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_round_floats(v) for v in value]
+    return value
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _render(fmt: str, payload: dict, header: list, rows: list) -> str:
+    """A handler's report as text: floats to 6 significant digits in either format."""
+    if fmt == "json":
+        return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    return "".join(
+        ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in [header, *rows]
+    )
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (JSON payload, CSV header, CSV rows), unrounded
 # ---------------------------------------------------------------------------
 
-def _cmd_run(args) -> str:
+def _cmd_run(args):
     schedule = _load_schedule(args)
     state = parse_state(args.input, args.theta)
     config = _load_config(args.imperfections)
@@ -150,43 +153,32 @@ def _cmd_run(args) -> str:
     total = _photon_count(args.counts, args.cmd) if mode == "sampled" else None
     dist = experiment.run_density(schedule, state, config)
     dist = experiment.apply_efficiencies(dist, config.port_efficiencies)
-    rows = [(p, dist.get(p, 0.0), None) for p in ports]
-    if mode == "sampled":
-        table = experiment.sample_counts({p: v for p, v, _e in rows}, total, args.seed)
-        rows = [(p, table.probabilities.get(p, 0.0), table.std_errors.get(p, 0.0))
-                for p in ports]
+    probs = {p: dist.get(p, 0.0) for p in ports}
+    payload = {"command": args.cmd, "scenario": args.scenario or args.file,
+               "state": args.input, "mode": mode, "ports": []}
+    if args.theta is not None:
+        payload["theta"] = args.theta
+    header, row = ["state"], [args.input]
+    if mode == "ideal":
+        for p in ports:
+            payload["ports"].append({"port": p, "p": probs[p]})
+            header.append(f"P{p}")
+            row.append(probs[p])
+        return payload, header, [row]
 
-    if args.format == "json":
-        payload = {
-            "command": args.cmd,
-            "scenario": args.scenario or args.file,
-            "state": args.input,
-            "mode": mode,
-            "ports": [
-                {"port": p, "p": _round_sig(v)} if e is None
-                else {"port": p, "p": _round_sig(v), "err": _round_sig(e)}
-                for p, v, e in rows
-            ],
-        }
-        if args.theta is not None:
-            payload["theta"] = _round_sig(args.theta)
-        if mode == "sampled":
-            payload["counts"] = {str(p): table.counts.get(p, 0) for p in ports}
-            payload["total"] = table.total
-            payload["seed"] = args.seed
-        return _json_dump(payload)
-
-    header, cells = ["state"], [args.input]
-    for p, v, e in rows:
-        header += [f"P{p}"] if e is None else [f"P{p}", f"err{p}"]
-        cells += [_fmt(v)] if e is None else [_fmt(v), _fmt(e)]
-    if mode == "sampled":
-        header += ["total", "seed"]
-        cells += [str(table.total), str(args.seed)]
-    return ",".join(header) + "\n" + ",".join(cells) + "\n"
+    table = experiment.sample_counts(probs, total, args.seed)
+    for p in ports:
+        v, e = table.probabilities.get(p, 0.0), table.std_errors.get(p, 0.0)
+        payload["ports"].append({"port": p, "p": v, "err": e})
+        header += [f"P{p}", f"err{p}"]
+        row += [v, e]
+    payload["counts"] = {str(p): table.counts.get(p, 0) for p in ports}
+    payload["total"] = table.total
+    payload["seed"] = args.seed
+    return payload, header + ["total", "seed"], [row + [table.total, args.seed]]
 
 
-def _cmd_extract(args) -> str:
+def _cmd_extract(args):
     schedule = _load_schedule(args)
     result = povm.extract_povm(schedule)
     if result.completeness_residual > args.tolerance:
@@ -194,73 +186,36 @@ def _cmd_extract(args) -> str:
             f"completeness residual {result.completeness_residual:.3g} exceeds "
             f"tolerance {args.tolerance:.3g}"
         )
-    if args.format == "json":
-        data = json.loads(result.to_json())
-        data["residual"] = _round_sig(data["residual"], 6)
-        for el in data["elements"]:
-            el["matrix"] = [[{k: _round_sig(v) for k, v in cell.items()} for cell in row]
-                            for row in el["matrix"]]
-        return _json_dump(data)
-    lines = ["label,port,m00_re,m00_im,m01_re,m01_im,m10_re,m10_im,m11_re,m11_im,residual"]
-    for e in result.elements:
-        m = e.matrix
-        cells = [e.label, str(e.port)]
-        for r in range(2):
-            for c in range(2):
-                cells += [_fmt(m[r, c].real), _fmt(m[r, c].imag)]
-        cells.append(_fmt(result.completeness_residual))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["label", "port", "m00_re", "m00_im", "m01_re", "m01_im",
+              "m10_re", "m10_im", "m11_re", "m11_im", "residual"]
+    rows = [[e.label, e.port, *(part for m in e.matrix.flat for part in (m.real, m.imag)),
+             result.completeness_residual] for e in result.elements]
+    return json.loads(result.to_json()), header, rows
 
 
-def _cmd_compile(args) -> str:
-    schedule = _load_schedule(args)
-    net = optics.compile_netlist(schedule)
-    if args.format == "json":
-        data = json.loads(net.to_json())
-        for p in data["plates"]:
-            p["angle_deg"] = _round_sig(p["angle_deg"])
-        return _json_dump(data)
-    lines = ["kind,angle_deg,angle_dms,position,step"]
-    for p in net.plates:
-        lines.append(
-            f"{p.kind},{_fmt(p.angle_deg)},{p.angle_dms},{p.position},{p.step}"
-        )
-    return "\n".join(lines) + "\n"
+def _cmd_compile(args):
+    net = optics.compile_netlist(_load_schedule(args))
+    header = ["kind", "angle_deg", "angle_dms", "position", "step"]
+    rows = [[p.kind, p.angle_deg, p.angle_dms, p.position, p.step] for p in net.plates]
+    return json.loads(net.to_json()), header, rows
 
 
-def _cmd_sweep(args) -> str:
-    if args.thetas:
-        thetas = [parse_angle(t) for t in args.thetas.split(",") if t.strip()]
-    else:
+def _cmd_sweep(args):
+    if args.thetas is None:
         thetas = [k * math.pi / 20.0 for k in range(1, 11)]
+    else:
+        thetas = [parse_angle(t) for t in args.thetas.split(",") if t.strip()]
+        if not thetas:
+            raise ValidationError(f"--thetas lists no angle: {args.thetas!r}")
     config = _load_config(args.imperfections)
     total = _photon_count(args.counts, args.cmd)
-    rows = experiment.usd_sweep(thetas, config, total=total, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "command": "sweep",
-            "rows": [
-                {
-                    "theta": _round_sig(r.theta),
-                    "theta_dms": optics.format_dms(math.degrees(r.theta)),
-                    "p_theory": _round_sig(r.p_theory),
-                    "p_sampled": _round_sig(r.p_sampled),
-                    "std_error": _round_sig(r.std_error),
-                }
-                for r in rows
-            ],
-            "seed": args.seed,
-            "total": total,
-        }
-        return _json_dump(payload)
-    lines = ["theta_rad,theta_dms,p_theory,p_sampled,std_error"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.theta)},{optics.format_dms(math.degrees(r.theta))},"
-            f"{_fmt(r.p_theory)},{_fmt(r.p_sampled)},{_fmt(r.std_error)}"
-        )
-    return "\n".join(lines) + "\n"
+    points = experiment.usd_sweep(thetas, config, total=total, seed=args.seed)
+    keys = ["theta", "theta_dms", "p_theory", "p_sampled", "std_error"]
+    rows = [[r.theta, optics.format_dms(math.degrees(r.theta)), r.p_theory, r.p_sampled,
+             r.std_error] for r in points]
+    payload = {"command": "sweep", "rows": [dict(zip(keys, row)) for row in rows],
+               "seed": args.seed, "total": total}
+    return payload, ["theta_rad", *keys[1:]], rows
 
 
 def build_parser() -> _Parser:
@@ -311,14 +266,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.handler(args)
+        text = _render(args.format, *args.handler(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 

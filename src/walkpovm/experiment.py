@@ -185,10 +185,17 @@ def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:
     return {p: q / total for p, q in weighted.items()}
 
 
+def _check_draw(total, seed) -> None:
+    """A photon count is an integer >= 1 and a seed an integer >= 0."""
+    if not isinstance(total, (int, np.integer)) or total < 1:
+        raise ValidationError(f"total count must be an integer >= 1, not {total!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, not {seed!r}")
+
+
 def sample_counts(dist: dict, total: int, seed: int) -> CountTable:
     """Multinomial draw over ports; identical seeds give identical tables."""
-    if total <= 0:
-        raise ValidationError("total count must be positive")
+    _check_draw(total, seed)
     _check_finite(dist)
     ports = sorted(dist)
     probs = np.array([dist[p] for p in ports], dtype=float)
@@ -220,6 +227,7 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     port is x = 0 instead of x = 2.  Each angle gets an independent
     sub-stream of the seeded generator.
     """
+    _check_draw(total, seed)
     thetas = list(theta_values)
     for th in thetas:
         if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:

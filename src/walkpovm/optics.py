@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, validate_coin
+from .walk import CoinSchedule, ValidationError, _norm, validate_coin
 
 _SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -270,7 +270,7 @@ def state_prep_angles(target, include_qwp: bool | None = None):
     accordingly) prepares the same state.
     """
     v = np.asarray(target, dtype=complex).reshape(2)
-    nrm = np.linalg.norm(v)
+    nrm = _norm(v)
     if not abs(nrm - 1.0) <= DEFAULT.input_norm:
         raise ValidationError("target state must be normalised")
     v = v / nrm

@@ -55,7 +55,7 @@ class SynthesisInfeasibleError(ValidationError):
         self.deviation = deviation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmElement:
     """A 2x2 positive-semidefinite effect with an outcome label and port."""
 
@@ -126,7 +126,7 @@ class PovmSet:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationPair:
     """One peel-off iteration: c1 acts at x = 0, c2 at x = 1; ``build_circuit`` checks both."""
 

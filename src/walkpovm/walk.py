@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,10 +70,20 @@ def _is_mixing(m: np.ndarray) -> bool:
     )
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector, by ``math.hypot`` over its parts.
+
+    ``hypot`` scales by the largest part, so a huge finite entry cannot
+    overflow the sum of squares, and it looks at every part, so any
+    infinite or NaN entry makes the norm inf or NaN, which callers reject.
+    """
+    return math.hypot(*v.real.tolist(), *v.imag.tolist())
+
+
 def coin_column(vector) -> np.ndarray:
     """The input coin state as a complex 2-vector, rejecting any other input."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    if v.shape != (2,) or not abs(np.linalg.norm(v) - 1.0) <= DEFAULT.input_norm:
+    if v.shape != (2,) or not abs(_norm(v) - 1.0) <= DEFAULT.input_norm:
         raise ValidationError("input coin state must be a normalised 2-vector")
     return v
 
@@ -146,7 +157,7 @@ class WalkState:
                         for e in json.loads(text)["entries"]})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinSchedule:
     """Ordered walk steps; each step maps position -> coin operation.
 

@@ -16,9 +16,10 @@ _PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    # warnings are errors in the child too, as pyproject.toml makes them in this process
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "walkpovm.cli", *args],
+        [sys.executable, "-W", "error", "-m", "walkpovm.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -316,8 +317,13 @@ def test_no_partial_output_on_error(tmp_path, capsys):
     (("extract", "--scenario", "sic", "--tolerance", "nan"), "--tolerance"),
     (("extract", "--scenario", "sic", "--tolerance", "-1"), "--tolerance"),
     (("extract", "--scenario", "sic", "--tolerance", "inf"), "--tolerance"),
+    (("sample", "--scenario", "trine", "--input", "H", "--seed", "-1"), "seed"),
+    (("sweep", "--seed", "-1"), "seed"),
+    (("sweep", "--thetas", ","), "--thetas"),
+    (("sweep", "--thetas", ""), "--thetas"),
 ], ids=["sweep-counts-abc", "sweep-counts-1e3", "sweep-counts-ideal",
-        "tolerance-nan", "tolerance-negative", "tolerance-inf"])
+        "tolerance-nan", "tolerance-negative", "tolerance-inf",
+        "sample-seed-negative", "sweep-seed-negative", "sweep-thetas-comma", "sweep-thetas-empty"])
 def test_bad_numeric_option_exits_1(args, message):
     result = run_cli(*args)
     assert result.returncode == 1

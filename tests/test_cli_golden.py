@@ -69,6 +69,14 @@ def test_cli_stdout_matches_golden_bytes(case):
     assert _stdout(CASES[case]).encode("utf-8") == golden[case].encode("utf-8")
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_file_holds_golden_bytes(case, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    path = tmp_path / "out"
+    assert _stdout([*CASES[case], "--output", str(path)]) == ""
+    assert path.read_bytes() == golden[case].encode("utf-8")
+
+
 def test_golden_file_covers_every_case():
     assert set(json.loads(GOLDEN.read_text(encoding="utf-8"))) == set(CASES)
 

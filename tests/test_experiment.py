@@ -195,6 +195,20 @@ def test_sample_counts_rejects_bad_input():
         sample_counts({0: 1.0}, 0, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_counts({0: 0.5, 2: 0.5}, 10, seed=-1), "seed"),
+    (lambda: sample_counts({0: 0.5, 2: 0.5}, 10, seed=1.5), "seed"),
+    (lambda: sample_counts({0: 0.5, 2: 0.5}, 10.5, seed=1), "total count"),
+    (lambda: usd_sweep([0.7], total=100, seed=-1), "seed"),
+    (lambda: usd_sweep([0.7], total=100.5, seed=0), "total count"),
+], ids=["sample-seed-negative", "sample-seed-fractional", "sample-total-fractional",
+        "sweep-seed-negative", "sweep-total-fractional"])
+def test_draws_reject_a_seed_or_photon_count_that_is_not_an_integer_in_range(call, message):
+    # numpy would raise a plain ValueError for a negative seed and truncate 10.5 photons to 10
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])

@@ -454,3 +454,16 @@ def test_synthesize_seeded_targets_up_to_64_outcomes():
         for n in range(2, 65):
             mats = random_rank1_povm(rng, n)
             _roundtrip(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CoinSchedule([{0: NOT_COIN}]),
+    lambda: PovmElement(np.eye(2), "e", 0),
+    lambda: IterationPair(NOT_COIN, NOT_COIN),
+], ids=["CoinSchedule", "PovmElement", "IterationPair"])
+def test_array_records_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the numpy fields and raise
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert len({a, b, a}) == 2

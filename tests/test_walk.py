@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -267,6 +269,7 @@ def _schedule_with_cell(value):
 
 _BOUNDARIES = {
     "coin_column": lambda x: coin_column([x, 1.0]),
+    "coin_column_1": lambda x: coin_column([1.0, x]),
     "validate_coin": lambda x: validate_coin([[x, 0.0], [0.0, 1.0]]),
     "validate_coin_01": lambda x: validate_coin([[1.0, x], [0.0, 1.0]]),
     "validate_coin_10": lambda x: validate_coin([[1.0, 0.0], [x, 1.0]]),
@@ -277,7 +280,9 @@ _BOUNDARIES = {
     "PovmElement_11": lambda x: PovmElement([[1.0, 0.0], [0.0, x]], "e", 0),
     "PovmElement_offdiagonal": lambda x: PovmElement([[1.0, x], [x, 1.0]], "e", 0),
     "state_prep_angles": lambda x: state_prep_angles([x, 1.0]),
+    "state_prep_angles_1": lambda x: state_prep_angles([1.0, x]),
     "cli.parse_state": lambda x: cli.parse_state(f"{x}:1", None),
+    "cli.parse_state_1": lambda x: cli.parse_state(f"1:{x}", None),
 }
 # entries whose message must also name where the bad value sits
 _NAMED = {"CoinSchedule.from_json": r"^coin operation at position 1 in step 2 "}
@@ -288,3 +293,31 @@ _NAMED = {"CoinSchedule.from_json": r"^coin operation at position 1 in step 2 "}
 def test_non_finite_input_is_rejected(entry, value):
     with pytest.raises(ValidationError, match=_NAMED.get(entry)):
         _BOUNDARIES[entry](value)
+
+
+def _trine_ports(state):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["run", "--scenario", "trine", "--input", state]) == 0
+    return [row["p"] for row in json.loads(buf.getvalue())["ports"]]
+
+
+# the squares of these entries overflow, and numpy's overflow warning is an error in this suite;
+# each pair is the call and what it must return, or None where it must raise ValidationError
+_HUGE = {
+    "cli.parse_state": (lambda: cli.parse_state("1e200:1e200", None),
+                        lambda: np.array([1, 1]) / np.sqrt(2)),
+    "cli.main": (lambda: _trine_ports("1e200:1e200"), lambda: _trine_ports("1:1")),
+    "coin_column": (lambda: coin_column([1e200, 1.0]), None),
+    "state_prep_angles": (lambda: state_prep_angles([1e200, 1e200]), None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_HUGE))
+def test_huge_finite_entry_does_not_overflow_the_norm(entry):
+    call, expected = _HUGE[entry]
+    if expected is None:
+        with pytest.raises(ValidationError, match="normalised"):
+            call()
+    else:
+        np.testing.assert_allclose(call(), expected(), rtol=1e-15)
