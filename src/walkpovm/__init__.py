@@ -11,10 +11,8 @@ from .walk import (
     CoinSchedule,
     ValidationError,
     WalkState,
-    apply_coin,
     position_distribution,
     run,
-    translate,
 )
 from .povm import (
     IterationPair,
@@ -62,7 +60,6 @@ __all__ = [
     "ValidationError",
     "WalkState",
     "WavePlate",
-    "apply_coin",
     "apply_efficiencies",
     "build_circuit",
     "compile_netlist",
@@ -79,7 +76,6 @@ __all__ = [
     "sic_scenario",
     "state_prep_angles",
     "synthesize",
-    "translate",
     "trine_scenario",
     "usd_plate_angle",
     "usd_scenario",

@@ -105,6 +105,14 @@ def _read_text(path: str, what: str) -> str:
         raise ValidationError(f"cannot read {what}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
+
+
 def _load_schedule(args) -> walk.CoinSchedule:
     if args.file is not None:
         return walk.CoinSchedule.from_json(_read_text(args.file, "schedule file"))
@@ -267,6 +275,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text = _render(args.format, *args.handler(args))
+        if args.output is not None:
+            _write_text(args.output, text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -275,9 +285,6 @@ def main(argv=None) -> int:
         return 2
     if args.output is None:
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return 0
 
 

@@ -82,10 +82,6 @@ class PovmElement:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "port", int(port))
 
-    @property
-    def weight(self) -> float:
-        return float(np.trace(self.matrix).real)
-
 
 @dataclass(frozen=True)
 class PovmSet:

@@ -8,15 +8,13 @@ values, so states can be shared freely between threads.
 
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
-data; ``apply_coin`` and ``translate`` act on the sparse dict directly.
-A ``CoinSchedule`` checks its coins once, when built, and finds its ports
-and interferometers once, on first use.  Complex values cross JSON as
-``{"re", "im"}`` cells only.
+data.  A ``CoinSchedule`` checks its coins once, when built, and finds its
+ports and interferometers once, on first use.  Complex values cross JSON
+as ``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from contextlib import contextmanager
@@ -29,8 +27,6 @@ from .tolerances import DEFAULT
 
 R = 0
 L = 1
-_COIN_NAME = {R: "R", L: "L"}
-_NAME_COIN = {"R": R, "L": L}
 
 IDENTITY_COIN = np.eye(2, dtype=complex)
 NOT_COIN = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -49,10 +45,13 @@ def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape == (2, 2):
         a, b, c, d = m.ravel().tolist()
-        # each entry of M^dag M - I is compared on its own: a fold such as max() skips a NaN
-        if (all(map(cmath.isfinite, (a, b, c, d)))
-                and abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= DEFAULT.unitarity
-                and abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= DEFAULT.unitarity
+        # each entry of M^dag M - I is compared on its own: a fold such as max() skips a NaN.
+        # hypot neither overflows nor drops a NaN or inf, so the column norms reject any
+        # non-finite or huge entry before the cross term multiplies two entries
+        col0 = math.hypot(a.real, a.imag, c.real, c.imag)
+        col1 = math.hypot(b.real, b.imag, d.real, d.imag)
+        if (abs(col0 * col0 - 1.0) <= DEFAULT.unitarity
+                and abs(col1 * col1 - 1.0) <= DEFAULT.unitarity
                 and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT.unitarity):
             return m
     where = ""
@@ -121,40 +120,11 @@ class WalkState:
 
     amplitudes: dict
 
-    @classmethod
-    def from_coin_vector(cls, vector, position: int = 0) -> "WalkState":
-        v = coin_column(vector)
-        return cls({(position, c): complex(v[c]) for c in (R, L) if v[c] != 0})
-
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
 
     def amplitude(self, position: int, coin: int) -> complex:
         return self.amplitudes.get((position, coin), 0j)
-
-    def pruned(self, threshold: float = 0.0) -> "WalkState":
-        """Drop entries with magnitude below ``threshold``.
-
-        Dropping k entries changes the squared norm by less than
-        k * threshold**2; the default threshold 0 keeps the state exact.
-        """
-        if threshold <= 0.0:
-            return self
-        return WalkState({k: a for k, a in self.amplitudes.items()
-                          if abs(a) >= threshold})
-
-    def to_json(self) -> str:
-        entries = [
-            {"x": x, "coin": _COIN_NAME[c], **complex_to_json(a)}
-            for (x, c), a in sorted(self.amplitudes.items())
-        ]
-        return json.dumps({"entries": entries}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WalkState":
-        with decoding("walk state"):
-            return cls({(int(e["x"]), _NAME_COIN[e["coin"]]): complex_from_json(e)
-                        for e in json.loads(text)["entries"]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,23 +216,6 @@ def _propagate(schedule: CoinSchedule, columns: np.ndarray) -> np.ndarray:
             if rows is not None:
                 a[rows] = m @ a[rows]
     return a.reshape(2, t + 1, -1).swapaxes(0, 1)
-
-
-def apply_coin(state: WalkState, coins) -> WalkState:
-    """Apply position-dependent coin operations; identity where unspecified."""
-    checked = {int(x): validate_coin(m, position=x) for x, m in coins.items()}
-    amps = {(int(x), int(c)): complex(a) for (x, c), a in state.amplitudes.items()}
-    for x, m in checked.items():
-        if (x, R) in amps or (x, L) in amps:
-            out = m @ np.array([[amps.get((x, R), 0j)], [amps.get((x, L), 0j)]])
-            amps[x, R], amps[x, L] = complex(out[R, 0]), complex(out[L, 0])
-    return WalkState({k: a for k, a in amps.items() if a != 0})
-
-
-def translate(state: WalkState) -> WalkState:
-    """Conditional shift: (x, R) -> (x+1, R) and (x, L) -> (x-1, L)."""
-    return WalkState({(int(x) + (1 if c == R else -1), int(c)): complex(a)
-                      for (x, c), a in state.amplitudes.items() if a != 0})
 
 
 def run(schedule: CoinSchedule, coin_vector) -> WalkState:

@@ -4,8 +4,9 @@ These are the engines the package used before the array propagator in
 ``walkpovm.walk`` and the closed-form plate lowering in
 ``walkpovm.optics`` replaced them, kept as they were:
 
-* the dict engine ``apply_coin``/``translate``/``run`` and the two-run
-  ``extract_povm`` built on it;
+* the dict engine ``start_state``/``apply_coin``/``translate``/``run``
+  and the two-run ``extract_povm`` built on it, the only copy of that
+  engine: the package walks with its array propagator alone;
 * the set-based reachability ``_step_reach`` behind ``output_ports`` and
   ``interferometers``;
 * the dense ``run_density``, which builds the full dim x dim step
@@ -37,7 +38,7 @@ from walkpovm.optics import (
 )
 from walkpovm.povm import PovmElement, PovmSet
 from walkpovm.tolerances import DEFAULT
-from walkpovm.walk import L, R, ValidationError, WalkState, _is_mixing, validate_coin
+from walkpovm.walk import L, R, ValidationError, WalkState, _is_mixing, coin_column, validate_coin
 
 # tolerance for the SO(3) pattern tests inside decompose; final results
 # are always re-verified against the unitary at DEFAULT.plate_product
@@ -70,13 +71,17 @@ def translate(state: WalkState) -> WalkState:
     return WalkState(new)
 
 
-def run(schedule, coin_vector, prune_threshold: float = 0.0) -> WalkState:
+def start_state(coin_vector) -> WalkState:
+    """The walker at x = 0 with the given coin state, nonzero entries only."""
+    v = coin_column(coin_vector)
+    return WalkState({(0, c): complex(v[c]) for c in (R, L) if v[c] != 0})
+
+
+def run(schedule, coin_vector) -> WalkState:
     """Run the walk from x = 0: coin-then-shift for every schedule step."""
-    state = WalkState.from_coin_vector(coin_vector)
+    state = start_state(coin_vector)
     for coins in schedule.steps:
         state = translate(apply_coin(state, coins))
-        if prune_threshold > 0.0:
-            state = state.pruned(prune_threshold)
     return state
 
 
@@ -159,7 +164,7 @@ def run_density(schedule, coin_vector, config=None) -> dict:
     def idx(x: int, c: int) -> int:
         return 2 * (x + t_max) + c
 
-    start = WalkState.from_coin_vector(coin_vector)
+    start = start_state(coin_vector)
     vec = np.zeros(dim, dtype=complex)
     for (x, c), a in start.amplitudes.items():
         vec[idx(x, c)] = a

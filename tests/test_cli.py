@@ -212,6 +212,17 @@ def test_extract_file_with_coin_missing_matrix_exit_1(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: malformed schedule file")
 
 
+def test_extract_file_with_huge_coin_entry_exit_1(tmp_path):
+    data = json.loads(CoinSchedule([{0: IDENTITY_COIN}]).to_json())
+    data["steps"][0]["coins"][0]["matrix"][0][1]["re"] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("extract", "--file", str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: coin operation at position 0 in step 1 ")
+    assert "Traceback" not in result.stderr
+
+
 # --- compile ---------------------------------------------------------------------
 
 def test_compile_sic_contains_reference_angles():
@@ -308,6 +319,15 @@ def test_no_partial_output_on_error(tmp_path, capsys):
                      "--output", str(out))
     assert result.returncode == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_1(tmp_path, target):
+    result = run_cli("compile", "--scenario", "sic", "--output", str(tmp_path / target))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: cannot write output:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args, message", [

@@ -235,13 +235,3 @@ def test_coins_off_the_lattice_act_on_nothing():
     cfg = ImperfectionConfig(visibilities={(1, 2): 0.9})
     assert experiment.run_density(far, v, cfg) == experiment.run_density(base, v, cfg)
 
-
-def test_apply_coin_and_translate_match_dict_engine():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        amps = {(int(x), int(c)): complex(rng.normal(), rng.normal())
-                for x, c in zip(rng.integers(-6, 7, size=5), rng.integers(0, 2, size=5))}
-        state = walk.WalkState(amps)
-        coins = {int(x): _sparse_coin(rng) for x in rng.integers(-7, 8, size=3)}
-        assert_same_amplitudes(walk.apply_coin(state, coins), oracle.apply_coin(state, coins))
-        assert walk.translate(state) == oracle.translate(state)

@@ -1,10 +1,12 @@
 import io
 import json
+import types
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import walkpovm
 from conftest import random_unitary
 from walkpovm.walk import (
     L,
@@ -13,68 +15,14 @@ from walkpovm.walk import (
     CoinSchedule,
     ValidationError,
     WalkState,
-    apply_coin,
     position_distribution,
     run,
-    translate,
 )
 from walkpovm import cli
 from walkpovm.experiment import ImperfectionConfig
 from walkpovm.optics import state_prep_angles
-from walkpovm.povm import PovmElement, PovmSet, scenario_schedule, trine_state
+from walkpovm.povm import PovmElement, PovmSet, scenario_schedule
 from walkpovm.walk import coin_column, complex_from_json, complex_to_json, decoding, validate_coin
-
-HAD = np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex)
-
-
-def test_apply_coin_hadamard_on_single_entry():
-    state = WalkState({(0, R): 1.0 + 0j})
-    out = apply_coin(state, {0: HAD})
-    assert out.amplitude(0, R) == pytest.approx(1 / np.sqrt(2))
-    assert out.amplitude(0, L) == pytest.approx(1 / np.sqrt(2))
-
-
-def test_apply_coin_empty_map_is_identity():
-    state = WalkState({(0, R): 1.0 + 0j})
-    out = apply_coin(state, {})
-    assert out.amplitudes == state.amplitudes
-
-
-def test_apply_coin_on_l_component():
-    # hand matrix multiplication on the coin-L column
-    state = WalkState({(0, L): 1 / np.sqrt(3), (2, R): np.sqrt(2 / 3)})
-    out = apply_coin(state, {0: HAD})
-    assert out.amplitude(0, R) == pytest.approx(1 / np.sqrt(6))
-    assert out.amplitude(0, L) == pytest.approx(-1 / np.sqrt(6))
-    assert out.amplitude(2, R) == pytest.approx(np.sqrt(2 / 3))
-
-
-def test_apply_coin_rejects_non_unitary():
-    state = WalkState({(0, R): 1.0 + 0j})
-    with pytest.raises(ValidationError, match="position 3"):
-        apply_coin(state, {3: np.array([[1, 1], [0, 1]])})
-
-
-def test_translate_moves_basis_states():
-    assert translate(WalkState({(0, R): 1.0 + 0j})).amplitudes == {(1, R): 1.0 + 0j}
-    assert translate(WalkState({(0, L): 1.0 + 0j})).amplitudes == {(-1, L): 1.0 + 0j}
-
-
-def test_translate_is_linear():
-    a, b = 0.6 + 0j, 0.8j
-    out = translate(WalkState({(1, R): a, (1, L): b}))
-    assert out.amplitudes == {(2, R): a, (0, L): b}
-
-
-def test_translate_inverse_recovers_state():
-    rng = np.random.default_rng(5)
-    amps = {(int(x), int(c)): complex(rng.normal(), rng.normal())
-            for x in range(-3, 4) for c in (R, L)}
-    state = WalkState(amps)
-    shifted = translate(state)
-    undone = {((x - 1, R) if c == R else (x + 1, L)): a
-              for (x, c), a in shifted.amplitudes.items()}
-    assert undone == state.amplitudes
 
 
 def test_run_trine_on_h_matches_hand_trace():
@@ -179,25 +127,6 @@ def test_run_is_linear_in_the_input():
         assert combined == pytest.approx(final_w.amplitude(*k), abs=1e-12)
 
 
-def test_prune_threshold_budget():
-    state = WalkState({(0, R): np.sqrt(1 - 2e-8), (5, R): 1e-4, (6, R): 1e-4})
-    pruned = state.pruned(2e-4)
-    assert (5, R) not in pruned.amplitudes and (6, R) not in pruned.amplitudes
-    assert abs(state.norm() ** 2 - pruned.norm() ** 2) < 2 * (2e-4) ** 2
-
-
-def test_walkstate_json_round_trip():
-    state = run(scenario_schedule("trine"), trine_state(2))
-    text = state.to_json()
-    data = json.loads(text)
-    assert set(data) == {"entries"}
-    assert all(set(e) == {"x", "coin", "re", "im"} for e in data["entries"])
-    back = WalkState.from_json(text)
-    assert set(back.amplitudes) == set(state.amplitudes)
-    for k, a in state.amplitudes.items():
-        assert back.amplitudes[k] == pytest.approx(a)
-
-
 def test_schedule_json_round_trip():
     schedule = scenario_schedule("sic")
     back = CoinSchedule.from_json(schedule.to_json())
@@ -242,11 +171,6 @@ _MALFORMED = (
         '{"elements": [{"label": "a", "port": 0}]}',
         '{"elements": [{"label": "a", "port": null, "matrix": [[%s, %s], [%s, %s]]}]}' % ((_CELL,) * 4),
         '{"elements": [{"label": "a", "port": 0, "matrix": [[{"re": "1", "im": 0}]]}]}',
-    ]]
-    + [(WalkState.from_json, text) for text in _GENERIC + [
-        '{"entries": [{"x": 0, "coin": "Q", "re": 1, "im": 0}]}',
-        '{"entries": [{"coin": "R", "re": 1, "im": 0}]}',
-        '{"entries": [{"x": 0, "coin": "R", "re": 1}]}',
     ]]
     + [(ImperfectionConfig.from_json, text) for text in ["{not json", "[]", '{"visibilities": {"1-2-3": 0.9}}',
                                                           '{"port_efficiencies": {"x": 0.9}}']]
@@ -321,3 +245,20 @@ def test_huge_finite_entry_does_not_overflow_the_norm(entry):
             call()
     else:
         np.testing.assert_allclose(call(), expected(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_huge_coin_entry_is_rejected_before_it_is_squared(slot):
+    m = np.eye(2, dtype=complex)
+    m.flat[slot] = 1e200
+    with pytest.raises(ValidationError, match="^coin operation at position 3 in step 2 "):
+        validate_coin(m, position=3, step=2)
+
+
+def test_export_list_matches_what_the_package_binds():
+    namespace = {}
+    exec("from walkpovm import *", namespace)
+    del namespace["__builtins__"]
+    public = {name for name, value in vars(walkpovm).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(namespace) == sorted(walkpovm.__all__) == sorted(public)
