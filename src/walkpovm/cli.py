@@ -4,7 +4,8 @@ Each subcommand declares only the options it reads (``walkpovm CMD -h``
 lists them), so any other option is an error.  ``run`` and ``sample``
 compute probabilities one way, the density engine and then detector
 efficiencies; ``run`` prints them unless ``--counts`` gives a photon
-count, ``sample`` always draws photons (40000 by default).
+count, ``sample`` always draws photons (40000 by default).  ``--input`` is a
+label of ``povm.NAMED_STATES``, ``psi+``/``psi-`` at ``--theta``, or ``c1:c2``.
 
 A handler returns what it reports, unrounded: a JSON payload, a CSV
 header and CSV rows.  ``_render`` alone formats numbers, rounding JSON
@@ -39,32 +40,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str) -> float:
-    """Angles in decimal radians, or degrees with a ° / deg suffix."""
+    """A finite angle in decimal radians, or degrees with a ° / deg suffix."""
     t = text.strip()
-    if t.endswith("°"):
-        return math.radians(float(t[:-1]))
-    if t.lower().endswith("deg"):
-        return math.radians(float(t[:-3]))
+    unit = next((u for u in ("°", "deg") if t.lower().endswith(u)), "")
     try:
-        return float(t)
+        value = float(t[:len(t) - len(unit)])
     except ValueError as exc:
         raise ValidationError(f"cannot parse angle {text!r}") from exc
-
-
-_NAMED_STATES = {
-    "H": lambda theta: np.array([1.0, 0.0], dtype=complex),
-    "V": lambda theta: np.array([0.0, 1.0], dtype=complex),
-    **{f"psi3-{i}": (lambda i: lambda theta: povm.trine_state(i))(i) for i in (1, 2, 3)},
-    **{f"psibar3-{i}": (lambda i: lambda theta: povm.anti_trine_state(i))(i) for i in (1, 2, 3)},
-    **{f"psi4-{i}": (lambda i: lambda theta: povm.sic_state(i))(i) for i in (1, 2, 3, 4)},
-    **{f"psibar4-{i}": (lambda i: lambda theta: povm.anti_sic_state(i))(i) for i in (1, 2, 3, 4)},
-}
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {text!r} is not finite")
+    return math.radians(value) if unit else value
 
 
 def parse_state(text: str, theta: float | None) -> np.ndarray:
+    """A label of ``povm.NAMED_STATES``, ``psi+``/``psi-`` at ``theta``, or ``c1:c2``."""
     name = text.strip()
-    if name in _NAMED_STATES:
-        return _NAMED_STATES[name](theta)
+    if name in povm.NAMED_STATES:
+        return povm.NAMED_STATES[name]
     if name in ("psi+", "psi-"):
         if theta is None:
             raise ValidationError(f"state {name} requires --theta")

@@ -33,8 +33,8 @@ class ImperfectionConfig:
     interference contrast in [0, 1]; pairs absent from the map are
     perfect.  ``port_efficiencies`` maps detection ports to relative
     detector efficiencies in (0, 1]; their spread must stay inside
-    ``imbalance_budget``, a finite number >= 0.  ``from_json`` ignores
-    keys it does not know, such as the ``"seed"`` older files carry.
+    ``imbalance_budget``, a finite number >= 0.  ``from_json`` rejects any
+    key it does not know except the ``"seed"`` older files carry.
     """
 
     visibilities: dict = field(default_factory=dict)
@@ -72,6 +72,9 @@ class ImperfectionConfig:
     def from_json(cls, text: str) -> "ImperfectionConfig":
         with decoding("imperfection config"):
             data = json.loads(text)
+            unknown = data.keys() - {"visibilities", "port_efficiencies", "imbalance_budget", "seed"}
+            if unknown:
+                raise ValidationError(f"malformed imperfection config: unknown key {min(unknown)!r}")
             vis = {}
             for key, v in data.get("visibilities", {}).items():
                 a, b = key.split("-")

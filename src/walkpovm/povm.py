@@ -14,6 +14,10 @@ isometry.  Each iteration peels the next row and rewrites the remaining
 rows in the frame the walker's residual state moves to, so the rows stay
 an isometry and every peel is feasible.  Outcome i leaves at port
 2(n-1-i); no outcome ordering is searched.
+
+``NAMED_STATES`` holds the paper's input states by label: ``H``, ``V``,
+the trine states ``psi3-i``, the SIC states ``psi4-i`` and the states
+``psibar3-i``, ``psibar4-i`` orthogonal to them.  Its vectors are read-only.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,13 +75,13 @@ class PovmElement:
         a, b, c, d = m.ravel().tolist()
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValidationError(f"element {label}: matrix is not finite")
-        # the entries of M - M^dag
+        # the entries of M - M^dag; hypot, unlike abs of a complex, cannot overflow
         if not max(2.0 * abs(a.imag), 2.0 * abs(d.imag),
-                   abs(b - c.conjugate())) <= DEFAULT.hermiticity:
+                   math.hypot(b.real - c.real, b.imag + c.imag)) <= DEFAULT.hermiticity:
             raise ValidationError(f"element {label}: matrix is not Hermitian")
         # smaller eigenvalue, from the lower triangle as eigvalsh reads it
         mean, half_gap = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
-        if not mean - math.hypot(half_gap, abs(c)) >= DEFAULT.psd_floor:
+        if not mean - math.hypot(half_gap, c.real, c.imag) >= DEFAULT.psd_floor:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
         object.__setattr__(self, "label", label)
@@ -232,40 +237,29 @@ def synthesize(target: PovmSet):
 # Built-in measurement scenarios and their input states.
 # ---------------------------------------------------------------------------
 
-def trine_state(i: int) -> np.ndarray:
-    states = {
-        1: np.array([1.0, 0.0], dtype=complex),
-        2: -0.5 * np.array([1.0, -np.sqrt(3.0)], dtype=complex),
-        3: -0.5 * np.array([1.0, np.sqrt(3.0)], dtype=complex),
-    }
-    return states[i]
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
 
 
-def anti_trine_state(i: int) -> np.ndarray:
-    states = {
-        1: np.array([0.0, 1.0], dtype=complex),
-        2: np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex),
-        3: np.array([np.sqrt(3.0) / 2.0, -0.5], dtype=complex),
-    }
-    return states[i]
+_SIC_PHASES = (1.0, np.exp(2j * np.pi / 3.0), np.exp(-2j * np.pi / 3.0))
 
-
-def sic_state(i: int) -> np.ndarray:
-    a = -1.0 / np.sqrt(3.0)
-    b = np.sqrt(2.0 / 3.0)
-    phases = {1: None, 2: 1.0, 3: np.exp(2j * np.pi / 3.0), 4: np.exp(-2j * np.pi / 3.0)}
-    if i == 1:
-        return np.array([1.0, 0.0], dtype=complex)
-    return np.array([a, b * phases[i]], dtype=complex)
-
-
-def anti_sic_state(i: int) -> np.ndarray:
-    a = np.sqrt(2.0 / 3.0)
-    b = 1.0 / np.sqrt(3.0)
-    phases = {1: None, 2: 1.0, 3: np.exp(2j * np.pi / 3.0), 4: np.exp(-2j * np.pi / 3.0)}
-    if i == 1:
-        return np.array([0.0, 1.0], dtype=complex)
-    return np.array([a, b * phases[i]], dtype=complex)
+NAMED_STATES = MappingProxyType({name: _frozen(v) for name, v in {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "psi3-1": np.array([1.0, 0.0], dtype=complex),
+    "psi3-2": -0.5 * np.array([1.0, -np.sqrt(3.0)], dtype=complex),
+    "psi3-3": -0.5 * np.array([1.0, np.sqrt(3.0)], dtype=complex),
+    "psibar3-1": np.array([0.0, 1.0], dtype=complex),
+    "psibar3-2": np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex),
+    "psibar3-3": np.array([np.sqrt(3.0) / 2.0, -0.5], dtype=complex),
+    "psi4-1": np.array([1.0, 0.0], dtype=complex),
+    **{f"psi4-{i}": np.array([-1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0) * phase], dtype=complex)
+       for i, phase in enumerate(_SIC_PHASES, start=2)},
+    "psibar4-1": np.array([0.0, 1.0], dtype=complex),
+    **{f"psibar4-{i}": np.array([np.sqrt(2.0 / 3.0), 1.0 / np.sqrt(3.0) * phase], dtype=complex)
+       for i, phase in enumerate(_SIC_PHASES, start=2)},
+}.items()})
 
 
 def usd_state(sign: int, theta: float) -> np.ndarray:
@@ -355,14 +349,11 @@ def scenario_port_map(name: str, theta: float = None) -> dict:
             outcome = {(False, True): "plus", (True, False): "minus"}.get(tuple(silent), "failure")
             mapping[outcome] = e.port
         return mapping
-    if name == "trine":
-        states = {i: trine_state(i) for i in (1, 2, 3)}
-    else:
-        states = {i: sic_state(i) for i in (1, 2, 3, 4)}
+    n = 3 if name == "trine" else 4
     mapping = {}
-    for i, v in states.items():
-        weight = 2.0 / len(states)
-        projector = weight * np.outer(v, v.conj())
+    for i in range(1, n + 1):
+        v = NAMED_STATES[f"psi{n}-{i}"]
+        projector = 2.0 / n * np.outer(v, v.conj())
         for e in extracted.elements:
             if np.max(np.abs(e.matrix - projector)) < DEFAULT.synthesis_roundtrip:
                 mapping[i] = e.port

@@ -184,7 +184,7 @@ class CoinSchedule:
     def from_json(cls, text: str) -> "CoinSchedule":
         with decoding("schedule file"):
             return cls([
-                {int(e["position"]): complex_from_json(e["matrix"]) for e in raw.get("coins", [])}
+                {int(e["position"]): complex_from_json(e["matrix"]) for e in raw["coins"]}
                 for raw in json.loads(text)["steps"]
             ])
 

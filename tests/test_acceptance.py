@@ -63,18 +63,15 @@ from walkpovm.optics import (
     usd_plate_angle,
 )
 from walkpovm.povm import (
+    NAMED_STATES,
     PovmElement,
     PovmSet,
-    anti_sic_state,
-    anti_trine_state,
     build_circuit,
     extract_povm,
     scenario_port_map,
     scenario_schedule,
     sic_scenario,
-    sic_state,
     synthesize,
-    trine_state,
     usd_success_probability,
 )
 from walkpovm.walk import CoinSchedule
@@ -292,10 +289,8 @@ def _pull_summary(entries):
             f"systematics ({max(e.count_pull for e in bright):.1f} counting only)")
 
 
-def _trine_states(transform=lambda v: v):
-    states = {f"psi3-{i}": transform(trine_state(i)) for i in (1, 2, 3)}
-    states.update({f"psibar3-{i}": transform(anti_trine_state(i)) for i in (1, 2, 3)})
-    return states
+def _states(transform=lambda v: v):
+    return {name: transform(v) for name, v in NAMED_STATES.items()}
 
 
 def _split_flagged(entries, flagged):
@@ -309,14 +304,6 @@ def _split_flagged(entries, flagged):
     return kept, flags
 
 
-def _sic_states(transform=lambda v: v):
-    states = {f"psi4-{i}": transform(sic_state(i)) for i in (1, 2, 3, 4)}
-    states.update(
-        {f"psibar4-{i}": transform(anti_sic_state(i)) for i in (1, 2, 3, 4)}
-    )
-    return states
-
-
 # --- criterion 1: trine ideal distribution + reference-count agreement -------
 
 def test_criterion_1_trine_distribution():
@@ -324,13 +311,13 @@ def test_criterion_1_trine_distribution():
     problems = []
 
     for i in (1, 2, 3):
-        dist = _ideal_ports("trine", trine_state(i))
+        dist = _ideal_ports("trine", NAMED_STATES[f"psi3-{i}"])
         if abs(dist.get(ports[i], 0.0) - 2 / 3) >= 1e-12:
             problems.append(f"psi3-{i} assigned port not 2/3")
         for j in (1, 2, 3):
             if j != i and abs(dist.get(ports[j], 0.0) - 1 / 6) >= 1e-12:
                 problems.append(f"psi3-{i} port {ports[j]} not 1/6")
-        anti = _ideal_ports("trine", anti_trine_state(i))
+        anti = _ideal_ports("trine", NAMED_STATES[f"psibar3-{i}"])
         if anti.get(ports[i], 0.0) >= 1e-12:
             problems.append(f"psibar3-{i} assigned port not exactly dark")
         for j in (1, 2, 3):
@@ -338,7 +325,7 @@ def test_criterion_1_trine_distribution():
                 problems.append(f"psibar3-{i} port {ports[j]} not 1/2")
 
     table = {**MEASURED_TRINE, **MEASURED_ANTI_TRINE}
-    entries, flags = _split_flagged(_budget("trine", _trine_states(), table),
+    entries, flags = _split_flagged(_budget("trine", _states(), table),
                                     FLAGGED_ANTI_TRINE_ENTRY)
     beyond = [e.describe() for e in entries if not e.ok]
     ok = not problems and not beyond
@@ -363,13 +350,13 @@ def test_criterion_2_sic_distribution():
     problems = []
 
     for i in (1, 2, 3, 4):
-        dist = _ideal_ports("sic", sic_state(i))
+        dist = _ideal_ports("sic", NAMED_STATES[f"psi4-{i}"])
         if abs(dist.get(ports[i], 0.0) - 0.5) >= 1e-12:
             problems.append(f"psi4-{i} assigned port not 1/2")
         for j in (1, 2, 3, 4):
             if j != i and abs(dist.get(ports[j], 0.0) - 1 / 6) >= 1e-12:
                 problems.append(f"psi4-{i} port {ports[j]} not 1/6")
-        anti = _ideal_ports("sic", anti_sic_state(i))
+        anti = _ideal_ports("sic", NAMED_STATES[f"psibar4-{i}"])
         if anti.get(ports[i], 0.0) >= 1e-12:
             problems.append(f"psibar4-{i} assigned port not exactly dark")
         for j in (1, 2, 3, 4):
@@ -377,7 +364,7 @@ def test_criterion_2_sic_distribution():
                 problems.append(f"psibar4-{i} port {ports[j]} not 1/3")
 
     table = {**MEASURED_SIC, **MEASURED_ANTI_SIC}
-    entries, flags = _split_flagged(_budget("sic", _sic_states(), table), FLAGGED_SIC_ENTRY)
+    entries, flags = _split_flagged(_budget("sic", _states(), table), FLAGGED_SIC_ENTRY)
     beyond = [e.describe() for e in entries if not e.ok]
     ok = not problems and not beyond
     detail = "sic ideal {1/2,1/6,1/6,1/6} & {1/3,1/3,1/3,0}" + _pull_summary(entries)
@@ -403,9 +390,9 @@ def _rotated(deg):
 @pytest.mark.parametrize(
     "scenario, states, table",
     [
-        ("sic", _sic_states(np.conj), {**MEASURED_SIC, **MEASURED_ANTI_SIC}),
-        ("trine", _trine_states(_rotated(5.0)), MEASURED_TRINE),
-        ("sic", _sic_states(_rotated(2.0)), {**MEASURED_SIC, **MEASURED_ANTI_SIC}),
+        ("sic", _states(np.conj), {**MEASURED_SIC, **MEASURED_ANTI_SIC}),
+        ("trine", _states(_rotated(5.0)), MEASURED_TRINE),
+        ("sic", _states(_rotated(2.0)), {**MEASURED_SIC, **MEASURED_ANTI_SIC}),
     ],
     ids=["sic-conjugated", "trine-rotated-5deg", "sic-rotated-2deg"],
 )
@@ -424,13 +411,13 @@ def test_criterion_3_povm_extraction():
     trine = extract_povm(scenario_schedule("trine"))
     sic = extract_povm(scenario_schedule("sic"))
     problems = []
-    expected_trine = {4: projector(trine_state(1), 2 / 3),
-                      0: projector(trine_state(2), 2 / 3),
-                      2: projector(trine_state(3), 2 / 3)}
-    expected_sic = {6: projector(sic_state(1), 0.5),
-                    4: projector(sic_state(2), 0.5),
-                    0: projector(sic_state(3), 0.5),
-                    2: projector(sic_state(4), 0.5)}
+    expected_trine = {4: projector(NAMED_STATES["psi3-1"], 2 / 3),
+                      0: projector(NAMED_STATES["psi3-2"], 2 / 3),
+                      2: projector(NAMED_STATES["psi3-3"], 2 / 3)}
+    expected_sic = {6: projector(NAMED_STATES["psi4-1"], 0.5),
+                    4: projector(NAMED_STATES["psi4-2"], 0.5),
+                    0: projector(NAMED_STATES["psi4-3"], 0.5),
+                    2: projector(NAMED_STATES["psi4-4"], 0.5)}
     for port, m in expected_trine.items():
         if np.max(np.abs(trine.element_at_port(port).matrix - m)) > 1e-10:
             problems.append(f"trine E{port}")
@@ -490,10 +477,10 @@ def test_criterion_5_synthesis_round_trip():
     started = time.perf_counter()
     problems = []
     trine_target = PovmSet.build(
-        [PovmElement(projector(trine_state(i), 2 / 3), f"t{i}", 0) for i in (1, 2, 3)]
+        [PovmElement(projector(NAMED_STATES[f"psi3-{i}"], 2 / 3), f"t{i}", 0) for i in (1, 2, 3)]
     )
     sic_target = PovmSet.build(
-        [PovmElement(projector(sic_state(i), 0.5), f"s{i}", 0) for i in (1, 2, 3, 4)]
+        [PovmElement(projector(NAMED_STATES[f"psi4-{i}"], 0.5), f"s{i}", 0) for i in (1, 2, 3, 4)]
     )
     if not _roundtrip_ok(trine_target):
         problems.append("trine target")
@@ -548,8 +535,7 @@ def test_criterion_6_optics_golden_angles():
             problems.append(f"usd plate {theta:.3f}: {usd_plate_angle(theta):.4f}")
 
     for name, (h_ref, q_ref) in PREP_TABLE.items():
-        kind, idx = name.split("-")
-        v = sic_state(int(idx)) if kind == "psi4" else anti_sic_state(int(idx))
+        v = NAMED_STATES[name]
         real = abs(2.0 * (np.conj(v[0]) * v[1]).imag) < 1e-12
         h, q = state_prep_angles(v, include_qwp=True)
         s3 = 2.0 * (np.conj(v[0]) * v[1]).imag
@@ -598,7 +584,7 @@ def test_criterion_8_imperfection_model():
     problems = []
     schedule = scenario_schedule("trine")
     ports = scenario_port_map("trine")
-    states = {i: anti_trine_state(i) for i in (1, 2, 3)}
+    states = {i: NAMED_STATES[f"psibar3-{i}"] for i in (1, 2, 3)}
 
     perfect = ImperfectionConfig(visibilities={(1, 2): 1.0})
     for i, v in states.items():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from walkpovm import cli
-from walkpovm.povm import IterationPair, build_circuit
-from walkpovm.walk import IDENTITY_COIN, CoinSchedule
+from walkpovm.povm import NAMED_STATES, IterationPair, build_circuit
+from walkpovm.walk import IDENTITY_COIN, CoinSchedule, ValidationError
 
 # the subprocess imports the same walkpovm as this process
 _PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
@@ -65,6 +65,17 @@ def test_run_sic_anti_state_csv():
         pytest.approx(1 / 3, abs=1e-6),
         pytest.approx(0.0, abs=1e-12),
     ]
+
+
+@pytest.mark.parametrize("label", list(NAMED_STATES))
+def test_every_named_state_parses_and_runs(label):
+    assert cli.parse_state(label, None) is NAMED_STATES[label]
+    scenario = "sic" if "4-" in label else "trine"
+    code, out = invoke("run", "--scenario", scenario, "--input", label)
+    assert code == 0
+    data = json.loads(out)
+    assert data["state"] == label
+    assert sum(row["p"] for row in data["ports"]) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_run_usd_rejects_theta_zero():
@@ -341,13 +352,47 @@ def test_unwritable_output_exits_1(tmp_path, target):
     (("sweep", "--seed", "-1"), "seed"),
     (("sweep", "--thetas", ","), "--thetas"),
     (("sweep", "--thetas", ""), "--thetas"),
+    # angles that are not finite numbers; under -W error a RuntimeWarning would be a Traceback
+    (("run", "--scenario", "trine", "--input", "H", "--theta", "nan"), "'nan'"),
+    (("run", "--scenario", "usd", "--input", "psi+", "--theta", "inf"), "'inf'"),
+    (("run", "--scenario", "usd", "--input", "psi-", "--theta=-inf"), "'-inf'"),
+    (("compile", "--scenario", "usd", "--theta", "1e400"), "'1e400'"),
+    (("extract", "--scenario", "usd", "--theta", "nan°"), "'nan°'"),
+    (("sweep", "--thetas", "0.3,infdeg"), "'infdeg'"),
+    (("sweep", "--thetas", "1e400°"), "'1e400°'"),
+    (("sweep", "--thetas", "x°"), "'x°'"),
 ], ids=["sweep-counts-abc", "sweep-counts-1e3", "sweep-counts-ideal",
         "tolerance-nan", "tolerance-negative", "tolerance-inf",
-        "sample-seed-negative", "sweep-seed-negative", "sweep-thetas-comma", "sweep-thetas-empty"])
+        "sample-seed-negative", "sweep-seed-negative", "sweep-thetas-comma", "sweep-thetas-empty",
+        "run-theta-nan", "run-theta-inf", "run-theta-minus-inf", "compile-theta-1e400",
+        "extract-theta-nan-degrees", "sweep-thetas-infdeg", "sweep-thetas-1e400-degrees",
+        "sweep-thetas-unparsable-degrees"])
 def test_bad_numeric_option_exits_1(args, message):
     result = run_cli(*args)
     assert result.returncode == 1
     assert result.stderr.startswith("error:") and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", " 1e400 ", "nan°", "inf deg", "-1e400DEG"])
+def test_parse_angle_rejects_a_non_finite_angle(text):
+    with pytest.raises(ValidationError, match=f"^angle {text!r} is not finite$"):
+        cli.parse_angle(text)
+
+
+@pytest.mark.parametrize("args, text, key", [
+    (("extract", "--file"),
+     CoinSchedule([{0: IDENTITY_COIN}]).to_json().replace('"coins"', '"coin"'), "'coins'"),
+    (("run", "--scenario", "trine", "--input", "H", "--imperfections"),
+     '{"visibilites": {"1-2": 0.5}}', "'visibilites'"),
+], ids=["schedule-step-without-coins", "config-misspelt-visibilities"])
+def test_misspelt_json_key_exits_1(tmp_path, args, text, key):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    result = run_cli(*args, str(path))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: malformed ") and key in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

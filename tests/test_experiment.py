@@ -13,12 +13,9 @@ from walkpovm.experiment import (
     usd_sweep,
 )
 from walkpovm.povm import (
-    anti_trine_state,
-    anti_sic_state,
+    NAMED_STATES,
     scenario_port_map,
     scenario_schedule,
-    sic_state,
-    trine_state,
     usd_state,
 )
 from walkpovm.walk import ValidationError
@@ -31,10 +28,10 @@ def ideal_distribution(schedule, state):
 # --- density evolution --------------------------------------------------------
 
 def test_density_matches_pure_state_when_perfect():
-    cases = [("trine", [trine_state(i) for i in (1, 2, 3)]
-              + [anti_trine_state(i) for i in (1, 2, 3)]),
-             ("sic", [sic_state(i) for i in (1, 2, 3, 4)]
-              + [anti_sic_state(i) for i in (1, 2, 3, 4)])]
+    cases = [("trine", [NAMED_STATES[f"psi3-{i}"] for i in (1, 2, 3)]
+              + [NAMED_STATES[f"psibar3-{i}"] for i in (1, 2, 3)]),
+             ("sic", [NAMED_STATES[f"psi4-{i}"] for i in (1, 2, 3, 4)]
+              + [NAMED_STATES[f"psibar4-{i}"] for i in (1, 2, 3, 4)])]
     for name, states in cases:
         schedule = scenario_schedule(name)
         for v in states:
@@ -48,7 +45,7 @@ def test_density_is_distribution_across_visibility_grid():
     schedule = scenario_schedule("trine")
     for v in np.arange(0.0, 1.01, 0.1):
         cfg = ImperfectionConfig(visibilities={(1, 2): float(v)})
-        dist = run_density(schedule, trine_state(2), cfg)
+        dist = run_density(schedule, NAMED_STATES["psi3-2"], cfg)
         assert all(p >= 0.0 for p in dist.values())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
@@ -61,9 +58,9 @@ def test_trine_leakage_closed_form():
     ports = scenario_port_map("trine")
     for v in (1.0, 0.99, 0.97, 0.9):
         cfg = ImperfectionConfig(visibilities={(1, 2): v})
-        leak1 = run_density(schedule, anti_trine_state(1), cfg).get(ports[1], 0.0)
-        leak2 = run_density(schedule, anti_trine_state(2), cfg).get(ports[2], 0.0)
-        leak3 = run_density(schedule, anti_trine_state(3), cfg).get(ports[3], 0.0)
+        leak1 = run_density(schedule, NAMED_STATES["psibar3-1"], cfg).get(ports[1], 0.0)
+        leak2 = run_density(schedule, NAMED_STATES["psibar3-2"], cfg).get(ports[2], 0.0)
+        leak3 = run_density(schedule, NAMED_STATES["psibar3-3"], cfg).get(ports[3], 0.0)
         assert leak1 == pytest.approx(0.0, abs=1e-14)
         assert leak2 == pytest.approx((1 - v * v) / 4, abs=1e-12)
         assert leak3 == pytest.approx((1 - v * v) / 4, abs=1e-12)
@@ -76,7 +73,7 @@ def test_leakage_monotone_in_visibility():
     for v in np.arange(0.0, 1.01, 0.1):
         cfg = ImperfectionConfig(visibilities={(1, 2): float(v)})
         leak = sum(
-            run_density(schedule, anti_trine_state(i), cfg).get(ports[i], 0.0)
+            run_density(schedule, NAMED_STATES[f"psibar3-{i}"], cfg).get(ports[i], 0.0)
             for i in (1, 2, 3)
         ) / 3.0
         if previous is not None:
@@ -115,6 +112,14 @@ def test_imperfection_config_ignores_a_seed_key():
     data = {"visibilities": {"1-2": 0.93}, "seed": 7}
     assert ImperfectionConfig.from_json(json.dumps(data)) == ImperfectionConfig(
         visibilities={(1, 2): 0.93})
+
+
+@pytest.mark.parametrize("key", ["visibilites", "port_efficiency", "budget"])
+def test_imperfection_config_rejects_an_unknown_key(key):
+    # a misspelt key used to fall back to the ideal config
+    text = json.dumps({"visibilities": {"1-2": 0.93}, key: {"1-2": 0.5}})
+    with pytest.raises(ValidationError, match=f"^malformed imperfection config: unknown key '{key}'"):
+        ImperfectionConfig.from_json(text)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.01])

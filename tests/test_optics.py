@@ -24,15 +24,12 @@ from walkpovm.optics import (
     usd_plate_angle,
 )
 from walkpovm.povm import (
+    NAMED_STATES,
     PovmElement,
     PovmSet,
-    anti_sic_state,
-    anti_trine_state,
     build_circuit,
     scenario_schedule,
-    sic_state,
     synthesize,
-    trine_state,
     usd_state,
 )
 from walkpovm.tolerances import DEFAULT
@@ -204,8 +201,8 @@ def test_compile_coin_just_off_the_identity():
     # identity: an unverified empty slot would miss it by 40x the tolerance
     d = 4e-9
     rot = np.array([[np.cos(d), -np.sin(d)], [np.sin(d), np.cos(d)]])
-    mats = [rot @ np.outer(trine_state(i), trine_state(i).conj()) @ rot.T * (2 / 3)
-            for i in (1, 2, 3)]
+    mats = [rot @ np.outer(v, v.conj()) @ rot.T * (2 / 3)
+            for v in (NAMED_STATES[f"psi3-{i}"] for i in (1, 2, 3))]
     pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", 0) for i, m in enumerate(mats)))
     schedule = build_circuit(pairs)
     net = compile_netlist(schedule)
@@ -339,7 +336,7 @@ def test_netlist_json_schema():
 def test_state_prep_trine_states():
     expected = {1: 0.0, 2: -30.0, 3: 30.0}
     for i, angle in expected.items():
-        h, q = state_prep_angles(trine_state(i))
+        h, q = state_prep_angles(NAMED_STATES[f"psi3-{i}"])
         assert q is None
         assert h == pytest.approx(angle, abs=1e-9)
 
@@ -347,7 +344,7 @@ def test_state_prep_trine_states():
 def test_state_prep_anti_trine_states():
     expected = {1: 45.0, 2: 15.0, 3: -15.0}
     for i, angle in expected.items():
-        h, q = state_prep_angles(anti_trine_state(i))
+        h, q = state_prep_angles(NAMED_STATES[f"psibar3-{i}"])
         assert q is None
         assert h == pytest.approx(angle, abs=1e-9)
 
@@ -359,7 +356,7 @@ def test_state_prep_discrimination_input():
 
 
 def test_state_prep_sic2_with_quarter_wave():
-    h, q = state_prep_angles(sic_state(2), include_qwp=True)
+    h, q = state_prep_angles(NAMED_STATES["psi4-2"], include_qwp=True)
     assert h == pytest.approx(-(27 + 22 / 60), abs=ARCMIN)
     assert q == pytest.approx(35 + 16 / 60, abs=ARCMIN)
 
@@ -407,8 +404,7 @@ def _both_prep_solutions(v):
 
 @pytest.mark.parametrize("name", sorted(PREP_TABLE))
 def test_state_prep_matches_reference_settings(name):
-    kind, idx = name.split("-")
-    v = sic_state(int(idx)) if kind == "psi4" else anti_sic_state(int(idx))
+    v = NAMED_STATES[name]
     h_ref, q_ref = PREP_TABLE[name]
     real = abs(2.0 * (np.conj(v[0]) * v[1]).imag) < 1e-12
     matched = False

@@ -7,21 +7,18 @@ from conftest import random_rank1_povm, random_unitary
 from walkpovm import optics, povm, walk
 from walkpovm.experiment import run_density
 from walkpovm.povm import (
+    NAMED_STATES,
     IterationPair,
     PovmElement,
     PovmSet,
     SynthesisInfeasibleError,
-    anti_sic_state,
-    anti_trine_state,
     build_circuit,
     extract_povm,
     scenario_port_map,
     scenario_schedule,
     sic_scenario,
-    sic_state,
     synthesize,
     trine_scenario,
-    trine_state,
     usd_scenario,
     usd_state,
     usd_success_probability,
@@ -107,7 +104,7 @@ def test_usd_pair_matrices():
 def test_trine_distribution(i):
     ports = scenario_port_map("trine")
     dist = walk.position_distribution(
-        walk.run(scenario_schedule("trine"), trine_state(i))
+        walk.run(scenario_schedule("trine"), NAMED_STATES[f"psi3-{i}"])
     )
     assert dist.get(ports[i], 0.0) == pytest.approx(2 / 3, abs=1e-12)
     others = [p for j, p in ports.items() if j != i]
@@ -119,7 +116,7 @@ def test_trine_distribution(i):
 def test_anti_trine_distribution(i):
     ports = scenario_port_map("trine")
     dist = walk.position_distribution(
-        walk.run(scenario_schedule("trine"), anti_trine_state(i))
+        walk.run(scenario_schedule("trine"), NAMED_STATES[f"psibar3-{i}"])
     )
     assert dist.get(ports[i], 0.0) < 1e-12
     others = [p for j, p in ports.items() if j != i]
@@ -130,7 +127,8 @@ def test_anti_trine_distribution(i):
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_sic_distribution(i):
     ports = scenario_port_map("sic")
-    dist = walk.position_distribution(walk.run(scenario_schedule("sic"), sic_state(i)))
+    dist = walk.position_distribution(
+        walk.run(scenario_schedule("sic"), NAMED_STATES[f"psi4-{i}"]))
     assert dist.get(ports[i], 0.0) == pytest.approx(0.5, abs=1e-12)
     for j, p in ports.items():
         if j != i:
@@ -141,7 +139,7 @@ def test_sic_distribution(i):
 def test_anti_sic_distribution(i):
     ports = scenario_port_map("sic")
     dist = walk.position_distribution(
-        walk.run(scenario_schedule("sic"), anti_sic_state(i))
+        walk.run(scenario_schedule("sic"), NAMED_STATES[f"psibar4-{i}"])
     )
     assert dist.get(ports[i], 0.0) < 1e-12
     for j, p in ports.items():
@@ -152,8 +150,37 @@ def test_anti_sic_distribution(i):
 def test_sic_states_have_third_pairwise_overlap():
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            ov = abs(np.vdot(sic_state(i), sic_state(j))) ** 2
+            ov = abs(np.vdot(NAMED_STATES[f"psi4-{i}"], NAMED_STATES[f"psi4-{j}"])) ** 2
             assert ov == pytest.approx(1 / 3, abs=1e-12)
+
+
+# --- named input states -----------------------------------------------------
+
+def test_named_states_are_the_papers_labels():
+    assert list(NAMED_STATES) == ["H", "V", *(
+        f"{kind}{n}-{i}" for n in (3, 4) for kind in ("psi", "psibar") for i in range(1, n + 1))]
+
+
+@pytest.mark.parametrize("label", list(NAMED_STATES))
+def test_named_state_is_a_read_only_unit_vector(label):
+    v = NAMED_STATES[label]
+    assert v.shape == (2,) and v.dtype == complex
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        v[0] = 0.0
+    with pytest.raises(TypeError):
+        NAMED_STATES[label] = np.array([0.0, 1.0], dtype=complex)
+
+
+@pytest.mark.parametrize("n, overlap", [(3, 1 / 4), (4, 1 / 3)], ids=["trine", "sic"])
+def test_named_state_overlaps(n, overlap):
+    for i in range(1, n + 1):
+        psi = NAMED_STATES[f"psi{n}-{i}"]
+        assert abs(np.vdot(NAMED_STATES[f"psibar{n}-{i}"], psi)) < 1e-15
+        for j in range(1, n + 1):
+            if j != i:
+                ov = abs(np.vdot(NAMED_STATES[f"psi{n}-{j}"], psi)) ** 2
+                assert ov == pytest.approx(overlap, abs=1e-15)
 
 
 # --- extraction -------------------------------------------------------------
@@ -161,9 +188,9 @@ def test_sic_states_have_third_pairwise_overlap():
 def test_extract_trine_elements():
     result = extract_povm(scenario_schedule("trine"))
     assert result.completeness_residual < 1e-12
-    expected = {4: projector(trine_state(1), 2 / 3),
-                0: projector(trine_state(2), 2 / 3),
-                2: projector(trine_state(3), 2 / 3)}
+    expected = {4: projector(NAMED_STATES["psi3-1"], 2 / 3),
+                0: projector(NAMED_STATES["psi3-2"], 2 / 3),
+                2: projector(NAMED_STATES["psi3-3"], 2 / 3)}
     for port, matrix in expected.items():
         got = result.element_at_port(port).matrix
         np.testing.assert_allclose(got, matrix, atol=1e-12)
@@ -172,10 +199,10 @@ def test_extract_trine_elements():
 def test_extract_sic_elements():
     result = extract_povm(scenario_schedule("sic"))
     assert result.completeness_residual < 1e-12
-    expected = {6: projector(sic_state(1), 0.5),
-                4: projector(sic_state(2), 0.5),
-                0: projector(sic_state(3), 0.5),
-                2: projector(sic_state(4), 0.5)}
+    expected = {6: projector(NAMED_STATES["psi4-1"], 0.5),
+                4: projector(NAMED_STATES["psi4-2"], 0.5),
+                0: projector(NAMED_STATES["psi4-3"], 0.5),
+                2: projector(NAMED_STATES["psi4-4"], 0.5)}
     for port, matrix in expected.items():
         got = result.element_at_port(port).matrix
         np.testing.assert_allclose(got, matrix, atol=1e-12)
@@ -263,7 +290,7 @@ def _roundtrip(target):
 
 def test_synthesize_trine_target():
     target = PovmSet.build(
-        [PovmElement(projector(trine_state(i), 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
+        [PovmElement(projector(NAMED_STATES[f"psi3-{i}"], 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
     )
     pairs, assignment = _roundtrip(target)
     assert len(pairs) == 2
@@ -320,7 +347,7 @@ def test_synthesis_infeasible_error_is_a_validation_error_naming_its_element(mon
 
     monkeypatch.setattr(povm, "extract_povm", extract_off_at_port_0)
     target = PovmSet.build(
-        [PovmElement(projector(trine_state(i), 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
+        [PovmElement(projector(NAMED_STATES[f"psi3-{i}"], 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
     )
     with pytest.raises(ValidationError, match="element psi3") as info:
         synthesize(target)
@@ -344,7 +371,7 @@ def test_synthesize_rejects_stale_residual_before_peeling(monkeypatch):
 
 def _degenerate_targets():
     p0, p1 = projector([1, 0], 1.0), projector([0, 1], 1.0)
-    trine = [projector(trine_state(i), 2 / 3) for i in (1, 2, 3)]
+    trine = [projector(NAMED_STATES[f"psi3-{i}"], 2 / 3) for i in (1, 2, 3)]
     return {
         "projector_first": [p0, p1 / 2, p1 / 2],
         "projector_middle": [p1 / 2, p0, p1 / 2],

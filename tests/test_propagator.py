@@ -230,7 +230,7 @@ def test_coins_off_the_lattice_act_on_nothing():
     base = povm.scenario_schedule("trine")
     far = walk.CoinSchedule([{**coins, 100: walk.NOT_COIN, -100: walk.NOT_COIN}
                              for coins in base.steps])
-    v = povm.trine_state(2)
+    v = povm.NAMED_STATES["psi3-2"]
     assert_strays_act_on_nothing(far, base, v)
     cfg = ImperfectionConfig(visibilities={(1, 2): 0.9})
     assert experiment.run_density(far, v, cfg) == experiment.run_density(base, v, cfg)

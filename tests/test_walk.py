@@ -184,6 +184,13 @@ def test_malformed_json_is_a_validation_error(decode, text):
         decode(text)
 
 
+def test_a_step_must_carry_its_coins():
+    # a misspelt key used to decode as an identity step
+    text = CoinSchedule([{0: NOT_COIN}]).to_json().replace('"coins"', '"coin"')
+    with pytest.raises(ValidationError, match="missing key 'coins'"):
+        CoinSchedule.from_json(text)
+
+
 def _schedule_with_cell(value):
     # one cell of the coin at position 1 in step 2 set to value; json writes NaN and Infinity
     data = json.loads(CoinSchedule([{}, {1: NOT_COIN}]).to_json())
@@ -253,6 +260,23 @@ def test_huge_coin_entry_is_rejected_before_it_is_squared(slot):
     m.flat[slot] = 1e200
     with pytest.raises(ValidationError, match="^coin operation at position 3 in step 2 "):
         validate_coin(m, position=3, step=2)
+
+
+_HUGE_CELL = 1.7e308 + 1.7e308j
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, _HUGE_CELL], [_HUGE_CELL.conjugate(), 1.0]],
+    [[1.0, _HUGE_CELL], [0.0, 1.0]],
+    [[1.0, 0.0], [_HUGE_CELL, 1.0]],
+], ids=["hermitian-pair", "upper", "lower"])
+def test_huge_povm_element_entry_does_not_overflow(matrix):
+    # abs() of these complex entries raises OverflowError
+    with pytest.raises(ValidationError, match="^element e: "):
+        PovmElement(matrix, "e", 0)
+    cell = {"label": "e", "port": 0, "matrix": complex_to_json(np.array(matrix))}
+    with pytest.raises(ValidationError, match="^element e: "):
+        PovmSet.from_json(json.dumps({"elements": [cell]}))
 
 
 def test_export_list_matches_what_the_package_binds():
