@@ -52,6 +52,14 @@ def parse_angle(text: str) -> float:
     return math.radians(value) if unit else value
 
 
+def _angle_option(text: str) -> float:
+    """``--theta``: argparse reports a ``type`` function's ValueError without its reason."""
+    try:
+        return parse_angle(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def parse_state(text: str, theta: float | None) -> np.ndarray:
     """A label of ``povm.NAMED_STATES``, ``psi+``/``psi-`` at ``theta``, or ``c1:c2``."""
     name = text.strip()
@@ -229,7 +237,7 @@ def build_parser() -> _Parser:
         if schedule:
             p.add_argument("--scenario", choices=["trine", "sic", "usd"])
             p.add_argument("--file", help="custom schedule JSON file")
-            p.add_argument("--theta", type=parse_angle,
+            p.add_argument("--theta", type=_angle_option,
                            help="angle in radians, or degrees with a ° / deg suffix")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write to a file instead of stdout")

@@ -19,50 +19,40 @@ so their setting is physically meaningful modulo 90 degrees (up to sign).
 following the pattern QWP * HWP * QWP with omissions; the list is in
 matrix-product order (leftmost applied last, i.e. the beam traverses the
 list right to left).  It searches nothing: the coin's Bloch rotation
-picks closed-form candidates with none, one, two and three plates, and
-the first whose product matches the coin is returned, each verified
-once.  ``compile_netlist`` lowers a schedule's coins the same way
-without checking them again, and reads the ports and interferometers
-that every ``CoinSchedule`` finds once.
+gives closed-form candidates with none, one, two and three plates, and
+the first whose product matches the coin is returned.  ``compile_netlist``
+stacks a schedule's coins and lowers them at once: each candidate class
+solves and verifies, in one batch, every coin still pending, and a coin
+whose candidate fails waits for the next class.  Ports and
+interferometers come from the pass every ``CoinSchedule`` makes once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .tolerances import DEFAULT
 from .walk import CoinSchedule, ValidationError, _norm, validate_coin
 
-_SIGMA = np.array([
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-], dtype=complex)
+
+def hwp(angle_deg) -> np.ndarray:
+    """Jones matrix of a half-wave plate with fast axis at ``angle_deg`` (or a stack)."""
+    a = np.radians(2.0 * np.asarray(angle_deg, dtype=float))
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([c, s, s, -c], axis=-1).reshape(a.shape + (2, 2)).astype(complex)
 
 
-def hwp(angle_deg: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at ``angle_deg``."""
-    a = math.radians(2.0 * angle_deg)
-    return np.array(
-        [[math.cos(a), math.sin(a)], [math.sin(a), -math.cos(a)]], dtype=complex
-    )
-
-
-def qwp(angle_deg: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at ``angle_deg``."""
-    a = math.radians(angle_deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array(
-        [
-            [c * c + 1j * s * s, (1.0 - 1j) * s * c],
-            [(1.0 - 1j) * s * c, s * s + 1j * c * c],
-        ],
-        dtype=complex,
-    )
+def qwp(angle_deg) -> np.ndarray:
+    """Jones matrix of a quarter-wave plate with fast axis at ``angle_deg`` (or a stack)."""
+    a = np.radians(np.asarray(angle_deg, dtype=float))
+    c, s = np.cos(a), np.sin(a)
+    m = [c * c + 1j * s * s, (1.0 - 1j) * s * c, (1.0 - 1j) * s * c, s * s + 1j * c * c]
+    return np.stack(m, axis=-1).reshape(a.shape + (2, 2))
 
 
 def lab_qwp_angle(angle_deg: float) -> float:
@@ -118,16 +108,7 @@ class OpticalNetlist:
     def to_json(self) -> str:
         payload = {
             "displacers": self.displacers,
-            "plates": [
-                {
-                    "kind": p.kind,
-                    "angle_deg": p.angle_deg,
-                    "angle_dms": p.angle_dms,
-                    "position": p.position,
-                    "step": p.step,
-                }
-                for p in self.plates
-            ],
+            "plates": [{**vars(p), "angle_dms": p.angle_dms} for p in self.plates],
             "ports": list(self.ports),
             "interferometers": [list(pair) for pair in self.interferometers],
         }
@@ -136,68 +117,86 @@ class OpticalNetlist:
 
 def plates_matrix(plates) -> np.ndarray:
     """Product of plate matrices in list order (beam enters at the list's end)."""
-    m = np.eye(2, dtype=complex)
-    for p in plates:
-        m = m @ p.matrix
-    return m
+    return reduce(np.matmul, (p.matrix for p in plates), np.eye(2, dtype=complex))
 
 
-def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - e^{i t} b| over the optimal global phase t, for unitaries a and b.
+def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |a - e^{i t} b| over the optimal global phase t, for (..., 2, 2) unitaries.
 
     When tr(b^dag a) = 0 every phase leaves the distance at 1 or more.
     """
-    t = np.trace(b.conj().T @ a)
-    phase = t / abs(t) if t else 1.0
-    return float(np.max(np.abs(a - phase * b)))
+    t = np.einsum("...ij,...ij->...", b.conj(), a)
+    zero = t == 0  # the phase is 1 there and t / |t| elsewhere
+    phase = (t + zero) / (np.abs(t) + zero)
+    return np.max(np.abs(a - phase[..., None, None] * b), axis=(-2, -1))
 
 
 def _so3(u: np.ndarray) -> np.ndarray:
-    """Bloch-sphere rotation of a 2x2 unitary (insensitive to global phase)."""
-    # r[j, k] = tr(sigma_j u sigma_k u^dag) / 2
-    return 0.5 * np.einsum("jab,bc,kcd,ad->jk", _SIGMA, u, _SIGMA, u.conj()).real
+    """Bloch-sphere rotations of (..., 2, 2) unitaries (insensitive to global phase)."""
+    # column k is (Re m01, -Im m01, (m00 - m11) / 2) for m = u sigma_k u^dag
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    x, y = b * c.conj() + a * d.conj(), 1j * (b * c.conj() - a * d.conj())
+    z, xz = a * c.conj() - b * d.conj(), a * b.conj() - c * d.conj()
+    zz = (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2) / 2.0
+    r = np.stack([x.real, -x.imag, xz.real, y.real, -y.imag, xz.imag, z.real, -z.imag, zz], -1)
+    return r.reshape(u.shape[:-2] + (3, 3)).swapaxes(-1, -2)
 
 
-def _hwp_angle(h: np.ndarray) -> float:
-    """Angle of the HWP whose Bloch rotation is h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
-    return math.degrees(math.atan2(h[0, 2], h[2, 2])) / 4.0 % 90.0 % 90.0
+def _hwp_angle(h: np.ndarray) -> np.ndarray:
+    """Angles of HWPs with Bloch rotations h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
+    return np.degrees(np.arctan2(h[:, 0, 2], h[:, 2, 2])) / 4.0 % 90.0 % 90.0
 
 
-def _pair(r: np.ndarray) -> list:
-    """HWP * QWP for a Bloch rotation r with r[1, 1] = 0; the QWP undoes r's action on y."""
-    gamma = math.degrees(math.atan2(r[1, 2], -r[1, 0])) / 2.0
-    return [WavePlate("HWP", _hwp_angle(r @ _so3(qwp(gamma)).T)), WavePlate("QWP", gamma)]
+def _pair(r: np.ndarray) -> np.ndarray:
+    """HWP * QWP angles for Bloch rotations r with r[1, 1] = 0; the QWP undoes r's action on y."""
+    gamma = np.degrees(np.arctan2(r[:, 1, 2], -r[:, 1, 0])) / 2.0
+    return np.column_stack([_hwp_angle(r @ _so3(qwp(gamma)).swapaxes(1, 2)), gamma])
 
 
-def _candidates(r: np.ndarray):
-    """Closed-form plate lists for the Bloch rotation r, fewest plates first.
+def _triple(r: np.ndarray) -> np.ndarray:
+    """QWP * HWP * QWP angles: the outer QWP turns r's image of y back into the x-z plane."""
+    w0, w2 = r[:, 0, 1], r[:, 2, 1]
+    alpha = np.where(np.hypot(w0, w2) > DEFAULT.norm, np.degrees(np.arctan2(w0, w2)) / 2.0, 0.0)
+    return np.column_stack([alpha, _pair(_so3(qwp(alpha)).swapaxes(1, 2) @ r)])
 
-    The gates only skip candidates that cannot fit; the caller verifies each.
+
+def _lower(us: np.ndarray, slots=None) -> list:
+    """One plate list per coin of an (N, 2, 2) stack already checked to be unitary.
+
+    Candidate classes go fewest plates first, each solving and verifying at
+    once the pending coins its gate passes; a coin whose candidate fails
+    stays pending.  ``slots`` (position, step) label the plates and errors.
     """
-    if np.max(np.abs(r - np.eye(3))) <= DEFAULT.so3_pattern:
-        yield []
-    if abs(r[1, 1] + 1.0) <= DEFAULT.so3_pattern:
-        yield [WavePlate("HWP", _hwp_angle(r))]
-    if abs(r[1, 1]) <= DEFAULT.so3_pattern:
-        if abs(np.trace(r) - 1.0) <= DEFAULT.so3_pattern:
-            # quarter turn; its axis is the vector of r's antisymmetric part
-            two_alpha = math.atan2(r[2, 1] - r[1, 2], r[1, 0] - r[0, 1])
-            yield [WavePlate("QWP", math.degrees(two_alpha) / 2.0)]
-        yield _pair(r)
-    # the outer QWP turns r's image of y back into the x-z plane
-    w = r[:, 1]
-    alpha = 0.0
-    if math.hypot(w[0], w[2]) > DEFAULT.norm:
-        alpha = math.degrees(math.atan2(w[0], w[2])) / 2.0
-    yield [WavePlate("QWP", alpha)] + _pair(_so3(qwp(alpha)).T @ r)
+    r, plates = _so3(us), [None] * len(us)
+    pending = np.ones(len(us), dtype=bool)
 
+    def attempt(kinds, gate, solve):
+        idx = np.flatnonzero(pending & gate)
+        if idx.size == 0:
+            return
+        angles = solve(r[idx])
+        product = np.eye(2, dtype=complex)
+        for k, kind in enumerate(kinds):
+            product = product @ (hwp if kind == "HWP" else qwp)(angles[:, k])
+        ok = _phase_aligned_dist(product, us[idx]) <= DEFAULT.plate_product
+        pending[idx[ok]] = False
+        for i, row in zip(idx[ok].tolist(), angles[ok].tolist()):
+            x, s = slots[i] if slots else (0, 0)
+            plates[i] = [WavePlate(kind, a, x, s) for kind, a in zip(kinds, row)]
 
-def _lower(u: np.ndarray) -> list:
-    """Plates for a coin already checked to be unitary: the first verified candidate."""
-    for plates in _candidates(_so3(u)):
-        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
-            return plates
-    raise ValidationError("no wave-plate decomposition found (input not unitary?)")
+    tol = DEFAULT.so3_pattern
+    in_plane = np.abs(r[:, 1, 1]) <= tol  # r maps y into the x-z plane
+    attempt((), np.max(np.abs(r - np.eye(3)), axis=(1, 2)) <= tol, lambda q: q[:, :0, 0])
+    attempt(("HWP",), np.abs(r[:, 1, 1] + 1.0) <= tol, lambda q: _hwp_angle(q)[:, None])
+    # a quarter turn; its axis is the vector of r's antisymmetric part
+    attempt(("QWP",), in_plane & (np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= tol), lambda q:
+            np.degrees(np.arctan2(q[:, 2, 1] - q[:, 1, 2], q[:, 1, 0] - q[:, 0, 1]))[:, None] / 2.0)
+    attempt(("HWP", "QWP"), in_plane, _pair)
+    attempt(("QWP", "HWP", "QWP"), True, _triple)
+    if pending.any():
+        where = " at position {} in step {}".format(*slots[np.argmax(pending)]) if slots else ""
+        raise ValidationError(f"no wave-plate decomposition found{where} (input not unitary?)")
+    return plates
 
 
 def decompose(u) -> list:
@@ -213,7 +212,7 @@ def decompose(u) -> list:
     returned; the empty list is verified like any other.  Results are the
     same for e^{i d} u at any d.
     """
-    return _lower(validate_coin(u))
+    return _lower(validate_coin(u)[None])[0]
 
 
 def usd_plate_angle(theta: float) -> float:
@@ -242,19 +241,11 @@ def output_ports(schedule: CoinSchedule) -> list:
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
-    """Lower a schedule to hardware: one displacer per step, plates per coin."""
-    plates = []
-    for s, coins in enumerate(schedule.steps, start=1):
-        for x in sorted(coins):
-            for p in _lower(coins[x]):
-                plates.append(replace(p, position=x, step=s))
-    ports, pairs = schedule._structure
-    return OpticalNetlist(
-        displacers=schedule.n_steps,
-        plates=tuple(plates),
-        ports=ports,
-        interferometers=pairs,
-    )
+    """Lower a schedule to hardware: one displacer per step, its coins' plates as one stack."""
+    slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
+    us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)
+    plates = tuple(p for group in _lower(us, slots) for p in group)
+    return OpticalNetlist(schedule.n_steps, plates, *schedule._structure)
 
 
 def state_prep_angles(target, include_qwp: bool | None = None):

@@ -62,13 +62,6 @@ def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
 
 
-def _is_mixing(m: np.ndarray) -> bool:
-    """True when some output of the coin superposes both inputs."""
-    return bool(
-        abs(m[0, 0] * m[0, 1]) > DEFAULT.norm or abs(m[1, 0] * m[1, 1]) > DEFAULT.norm
-    )
-
-
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a complex vector, by ``math.hypot`` over its parts.
 
@@ -152,24 +145,29 @@ class CoinSchedule:
     def _structure(self) -> tuple:
         """(ports, interferometers) of the walk from x = 0, as tuples, in one pass.
 
-        A bool vector walks the frame of ``_coin_rows`` with each coin's
-        pattern of entries above ``DEFAULT.norm``; an OR of ANDs cannot
-        cancel, so a row is True exactly when some path reaches it.
+        A list of bools walks the frame of ``_coin_rows``, a coin's two rows at
+        a time, with its pattern of entries above ``DEFAULT.norm``; an OR of
+        ANDs cannot cancel, so a row is True exactly when some path reaches it.
         """
-        t = self.n_steps
-        lit = np.zeros(2 * t + 2, dtype=bool)
-        lit[t:t + 2] = True
+        t, tol = self.n_steps, DEFAULT.norm
+        lit = [False] * (2 * t + 2)
+        lit[t] = lit[t + 1] = True
         pairs = []
         for s, coins in enumerate(self.steps, start=1):
             mixes = False
             for x, m in coins.items():
                 rows = _coin_rows(t, s, x)
                 if rows is not None:
-                    mixes = mixes or (s >= 3 and lit[rows].all() and _is_mixing(m))
-                    lit[rows] = (np.abs(m) > DEFAULT.norm) @ lit[rows]
+                    i, j = rows.start, rows.start + s
+                    a, b, c, d = m.ravel().tolist()
+                    # the coin mixes when some output superposes both inputs
+                    mixes = mixes or (s >= 3 and lit[i] and lit[j]
+                                      and (abs(a * b) > tol or abs(c * d) > tol))
+                    lit[i], lit[j] = ((abs(a) > tol and lit[i]) or (abs(b) > tol and lit[j]),
+                                      (abs(c) > tol and lit[i]) or (abs(d) > tol and lit[j]))
             if mixes:
                 pairs.append((s - 2, s - 1))
-        ports = tuple(2 * k - t for k in np.flatnonzero(lit[:t + 1] | lit[t + 1:]).tolist())
+        ports = tuple(2 * k - t for k in range(t + 1) if lit[k] or lit[t + 1 + k])
         return ports, tuple(pairs)
 
     def to_json(self) -> str:

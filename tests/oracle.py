@@ -8,15 +8,17 @@ These are the engines the package used before the array propagator in
   and the two-run ``extract_povm`` built on it, the only copy of that
   engine: the package walks with its array propagator alone;
 * the set-based reachability ``_step_reach`` behind ``output_ports`` and
-  ``interferometers``;
+  ``interferometers``, with the ``_is_mixing`` test they apply;
 * the dense ``run_density``, which builds the full dim x dim step
   unitary and permutes the density matrix with ``np.ix_``;
 * ``so3``, the Bloch rotation of a coin as nine separate traces, which
-  ``optics._so3`` now forms as one contraction;
+  ``optics._so3`` now writes out entry by entry for a stack of coins;
 * the search ``decompose``, which tries identity, HWP, QWP, both pair
-  orders and two outer-QWP angles and verifies each try, where
-  ``optics.decompose`` now builds one closed-form candidate per plate
-  count.
+  orders and two outer-QWP angles and verifies each try;
+* the scalar closed-form chain ``_candidates``/``_pair``/``_lower``,
+  which builds one candidate per plate count for one coin and verifies
+  each in turn, where ``optics._lower`` now solves and verifies a whole
+  stack of coins one candidate class at a time.
 
 ``tests/test_propagator.py`` and ``tests/test_optics.py`` hold the
 package to these on random schedules and coins.  They are slow by design
@@ -28,21 +30,20 @@ import math
 import numpy as np
 
 from walkpovm.experiment import IDEAL
-from walkpovm.optics import (
-    _SIGMA,
-    WavePlate,
-    _phase_aligned_dist,
-    _so3,
-    plates_matrix,
-    qwp,
-)
+from walkpovm.optics import WavePlate, _phase_aligned_dist, _so3, plates_matrix, qwp
 from walkpovm.povm import PovmElement, PovmSet
 from walkpovm.tolerances import DEFAULT
-from walkpovm.walk import L, R, ValidationError, WalkState, _is_mixing, coin_column, validate_coin
+from walkpovm.walk import L, R, ValidationError, WalkState, coin_column, validate_coin
 
 # tolerance for the SO(3) pattern tests inside decompose; final results
 # are always re-verified against the unitary at DEFAULT.plate_product
 _SO3_TOL = 1e-8
+
+_SIGMA = np.array([
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], dtype=complex)
 
 
 def apply_coin(state: WalkState, coins) -> WalkState:
@@ -101,6 +102,13 @@ def extract_povm(schedule) -> PovmSet:
         )
         elements.append(PovmElement(k.conj().T @ k, f"E{x}", x))
     return PovmSet.build(elements)
+
+
+def _is_mixing(m: np.ndarray) -> bool:
+    """True when some output of the coin superposes both inputs."""
+    return bool(
+        abs(m[0, 0] * m[0, 1]) > DEFAULT.norm or abs(m[1, 0] * m[1, 1]) > DEFAULT.norm
+    )
 
 
 def _step_reach(reach, coins):
@@ -321,6 +329,48 @@ def decompose(u) -> list:
         if inner is None:
             continue
         plates = [WavePlate("QWP", alpha)] + inner
+        if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
+            return plates
+    raise ValidationError("no wave-plate decomposition found (input not unitary?)")
+
+
+def _hwp_angle(h: np.ndarray) -> float:
+    """Angle of the HWP whose Bloch rotation is h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
+    return math.degrees(math.atan2(h[0, 2], h[2, 2])) / 4.0 % 90.0 % 90.0
+
+
+def _pair(r: np.ndarray) -> list:
+    """HWP * QWP for a Bloch rotation r with r[1, 1] = 0; the QWP undoes r's action on y."""
+    gamma = math.degrees(math.atan2(r[1, 2], -r[1, 0])) / 2.0
+    return [WavePlate("HWP", _hwp_angle(r @ so3(qwp(gamma)).T)), WavePlate("QWP", gamma)]
+
+
+def _candidates(r: np.ndarray):
+    """Closed-form plate lists for the Bloch rotation r, fewest plates first.
+
+    The gates only skip candidates that cannot fit; the caller verifies each.
+    """
+    if np.max(np.abs(r - np.eye(3))) <= DEFAULT.so3_pattern:
+        yield []
+    if abs(r[1, 1] + 1.0) <= DEFAULT.so3_pattern:
+        yield [WavePlate("HWP", _hwp_angle(r))]
+    if abs(r[1, 1]) <= DEFAULT.so3_pattern:
+        if abs(np.trace(r) - 1.0) <= DEFAULT.so3_pattern:
+            # quarter turn; its axis is the vector of r's antisymmetric part
+            two_alpha = math.atan2(r[2, 1] - r[1, 2], r[1, 0] - r[0, 1])
+            yield [WavePlate("QWP", math.degrees(two_alpha) / 2.0)]
+        yield _pair(r)
+    # the outer QWP turns r's image of y back into the x-z plane
+    w = r[:, 1]
+    alpha = 0.0
+    if math.hypot(w[0], w[2]) > DEFAULT.norm:
+        alpha = math.degrees(math.atan2(w[0], w[2])) / 2.0
+    yield [WavePlate("QWP", alpha)] + _pair(so3(qwp(alpha)).T @ r)
+
+
+def _lower(u: np.ndarray) -> list:
+    """Plates for a coin already checked to be unitary: the first verified candidate."""
+    for plates in _candidates(so3(u)):
         if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
             return plates
     raise ValidationError("no wave-plate decomposition found (input not unitary?)")

@@ -375,6 +375,19 @@ def test_bad_numeric_option_exits_1(args, message):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("nan", "angle 'nan' is not finite"),
+    ("inf", "angle 'inf' is not finite"),
+    ("abc", "cannot parse angle 'abc'"),
+])
+def test_theta_error_gives_the_parse_angle_reason(text, reason):
+    # argparse rewrites a ValueError from a type function as "invalid parse_angle value"
+    result = run_cli("run", "--scenario", "usd", "--input", "psi+", "--theta", text)
+    assert result.returncode == 1
+    assert result.stderr == f"error: argument --theta: {reason}\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " 1e400 ", "nan°", "inf deg", "-1e400DEG"])
 def test_parse_angle_rejects_a_non_finite_angle(text):
     with pytest.raises(ValidationError, match=f"^angle {text!r} is not finite$"):

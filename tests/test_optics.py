@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 import oracle
 from conftest import assert_equal_upto_phase, random_unitary
+from walkpovm import optics
 from walkpovm.experiment import ImperfectionConfig, run_density
 from walkpovm.optics import (
     WavePlate,
+    _lower,
     _phase_aligned_dist,
     _so3,
     compile_netlist,
@@ -25,6 +28,7 @@ from walkpovm.optics import (
 )
 from walkpovm.povm import (
     NAMED_STATES,
+    IterationPair,
     PovmElement,
     PovmSet,
     build_circuit,
@@ -33,7 +37,7 @@ from walkpovm.povm import (
     usd_state,
 )
 from walkpovm.tolerances import DEFAULT
-from walkpovm.walk import CoinSchedule, NOT_COIN, ValidationError
+from walkpovm.walk import IDENTITY_COIN, NOT_COIN, CoinSchedule, ValidationError
 
 TILT = np.sqrt(1 / 3) * np.array([[np.sqrt(2), 1], [1, -np.sqrt(2)]], dtype=complex)
 SPLIT = np.sqrt(0.5) * np.array([[-1, 1], [1, 1]], dtype=complex)
@@ -210,6 +214,70 @@ def test_compile_coin_just_off_the_identity():
         for x, m in coins.items():
             group = [p for p in net.plates if p.step == s and p.position == x]
             assert _phase_aligned_dist(plates_matrix(group), m) <= DEFAULT.plate_product
+
+
+def assert_same_plates(got, ref, tol):
+    # hwp(b + 90) = -hwp(b) is the same plate, so HWP angles compare mod 90
+    assert [p.kind for p in got] == [p.kind for p in ref]
+    for p, q in zip(got, ref):
+        assert mod_dist(p.angle_deg, q.angle_deg, 90.0 if p.kind == "HWP" else 180.0) <= tol
+
+
+def test_batched_lowering_matches_scalar_chain_and_singletons():
+    # one stack gives every coin the plates the one-coin chain gives it, and
+    # the plates a stack of that coin alone gives: no coin sees its neighbours
+    coins = _lowering_coins()
+    stacked = _lower(np.array(coins))
+    assert len(stacked) == len(coins)
+    for u, got in zip(coins, stacked):
+        assert_same_plates(got, oracle._lower(u), 1e-12)
+        assert_same_plates(got, _lower(u[None])[0], 1e-12)
+        assert _phase_aligned_dist(plates_matrix(got), u) <= DEFAULT.plate_product
+
+
+def test_mixed_stack_lowers_each_coin_in_its_own_class():
+    # the coin 3e-9 off hwp(30) passes the HWP gate, fails that candidate's
+    # check and falls through to the triple while its neighbours stay put
+    off_hwp = hwp(30.0) @ np.diag([np.exp(-3e-9j), np.exp(3e-9j)])
+    rng = np.random.default_rng(31)
+    coins = [np.exp(0.3j) * IDENTITY_COIN, hwp(17.0), qwp(37.0), PHASED, off_hwp,
+             random_unitary(rng), hwp(30.0)]
+    kinds = [[], ["HWP"], ["QWP"], ["HWP", "QWP"], ["QWP", "HWP", "QWP"],
+             ["QWP", "HWP", "QWP"], ["HWP"]]
+    got = _lower(np.array(coins))
+    assert [[p.kind for p in plates] for plates in got] == kinds
+    for u, plates in zip(coins, got):
+        assert_same_plates(plates, oracle._lower(u), 1e-12)
+        assert _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product
+
+
+def test_lowering_an_empty_stack_gives_no_plates():
+    assert _lower(np.empty((0, 2, 2), dtype=complex)) == []
+
+
+def test_compile_haar_n64_netlist_reproduces_every_coin():
+    rng = np.random.default_rng(64)
+    schedule = build_circuit([IterationPair(random_unitary(rng), random_unitary(rng))
+                              for _ in range(63)])
+    net = compile_netlist(schedule)
+    slots = {}
+    for p in net.plates:
+        slots.setdefault((p.step, p.position), []).append(p)
+    coins = {(s, x): m for s, step in enumerate(schedule.steps, start=1) for x, m in step.items()}
+    assert set(slots) <= set(coins)
+    for slot, m in coins.items():
+        assert _phase_aligned_dist(plates_matrix(slots.get(slot, [])), m) <= DEFAULT.plate_product
+
+
+def test_coin_failing_every_class_is_named_by_step_and_position(monkeypatch):
+    # no product is within a negative distance, so every candidate fails
+    monkeypatch.setattr(optics, "DEFAULT", dataclasses.replace(DEFAULT, plate_product=-1.0))
+    schedule = CoinSchedule([{}, {1: TILT, -1: NOT_COIN}])
+    with pytest.raises(ValidationError, match=r"^no wave-plate decomposition found "
+                                              r"at position -1 in step 2 \(input not unitary\?\)$"):
+        compile_netlist(schedule)
+    with pytest.raises(ValidationError, match=r"^no wave-plate decomposition found \(input"):
+        decompose(TILT)
 
 
 # --- discrimination plate angle ----------------------------------------------
