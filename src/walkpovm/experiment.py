@@ -1,15 +1,21 @@
 """Counting statistics and optical imperfections for walk measurements.
 
-``run_density`` evolves the density matrix over (position, coin) and
-models finite interference contrast: at every displacer belonging to an
-interferometer with visibility V, off-diagonal coherences are multiplied
-by V.  It keeps rho in the frame of ``walk._coin_rows``, which moves with
-the beam displacer, so the conditional shift changes no data; a step
-rewrites only its coins' rows and columns and, when it dephases, the
-light-cone block the walker occupies.  With all visibilities at 1 it
-reproduces the ideal pure-state probabilities exactly.  ``sample_counts``
-adds multinomial shot noise with a seeded, portable generator, and
-``apply_efficiencies`` models per-port detector imbalance.
+One density engine, ``_walk_density``, evolves the density matrix over
+(position, coin) and models finite interference contrast: at every
+displacer belonging to an interferometer with visibility V, off-diagonal
+coherences are multiplied by V.  It keeps rho in the frame of
+``walk._coin_rows``, which moves with the beam displacer, so the
+conditional shift changes no data; a step rewrites only its coins' rows
+and columns and, when it dephases, the light-cone block the walker
+occupies.  With all visibilities at 1 it reproduces the ideal pure-state
+probabilities exactly.  It has a leading batch axis: ``run_density``
+calls it for one walk, and ``usd_sweep`` for all of a sweep's angles at
+once, stacking the one coin in which their circuits differ.
+
+``sample_counts`` adds multinomial shot noise with a seeded, portable
+generator, and ``apply_efficiencies`` models per-port detector
+imbalance; both check and reweight through array functions over a
+trailing port axis, which the sweep applies to all its angles at once.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import usd_scenario, usd_state, usd_success_probability, build_circuit
+from .povm import _usd_columns, _usd_peel, build_circuit, usd_scenario, usd_success_probability
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _coin_rows, coin_column, decoding
+from .walk import CoinSchedule, ValidationError, _coin_rows, _is_unitary, coin_column, decoding
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class CountTable:
         if total <= 0:
             raise ValidationError("count table needs a positive total")
         probs = {p: c / total for p, c in counts.items()}
-        errs = {p: float(np.sqrt(q * (1.0 - q) / total)) for p, q in probs.items()}
+        errs = {p: _std_error(q, total) for p, q in probs.items()}
         return cls(dict(counts), total, probs, errs)
 
     def parenthetical(self, port: int, digits: int = 4) -> str:
@@ -124,68 +130,101 @@ class CountTable:
         return json.dumps(payload, sort_keys=True)
 
 
+def _damping(pairs, visibilities: dict) -> dict:
+    """Step -> V for the displacers of ``pairs``, holding only the steps with V != 1.
+
+    Each interferometer damps coherences by its V at both of its displacers.
+    """
+    damping = {}
+    for pair in pairs:
+        v = visibilities.get(pair, 1.0)
+        for member in pair:
+            damping[member] = damping.get(member, 1.0) * v
+    return {s: v for s, v in damping.items() if v != 1.0}
+
+
+def _walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
+    """Port probabilities of a dephasing walk, batched over the leading axes of ``psi``.
+
+    ``psi`` is (..., 2) and each coin (2, 2), or (B, 2, 2) for a batch of B
+    walks that share the schedule's layout.  ``damping`` maps a step to its
+    V, a float or a (B, 1, 1) array, and holds only steps with V != 1.
+    Returns (..., t + 1): port 2k - t at k, clipped at 0.
+
+    rho is (..., 2t + 2, 2t + 2) in the frame of ``walk._coin_rows``:
+    after s steps (x, R) is index t + (x - s)/2 and (x, L) is
+    t + 1 + (x + s)/2, so the shift moves no data.  Before and after step s
+    the walker lies in the light-cone block [t + 1 - s, t + s].  A coin
+    touches its two rows and two columns within that block, dephasing
+    touches the block only, and port 2k - t sums indices k and t + 1 + k.
+    """
+    d = 2 * t + 2
+    rho = np.zeros(psi.shape[:-1] + (d, d), dtype=complex)
+    # rho is contiguous, so every (d + 1)-th entry of this view is on its diagonal,
+    # and a basic slice of it is a writable view of a block's diagonal
+    flat = rho.reshape(psi.shape[:-1] + (d * d,))
+    rho[..., t:t + 2, t:t + 2] = psi[..., :, None] * psi[..., None, :].conj()
+    for s, coins in enumerate(steps, start=1):
+        lo, hi = t + 1 - s, t + s + 1
+        cone = slice(lo, hi)
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                rho[..., rows, cone] = m @ rho[..., rows, cone]
+                rho[..., cone, rows] = rho[..., cone, rows] @ m.conj().swapaxes(-1, -2)
+        if s in damping:
+            diag = flat[..., lo * (d + 1):hi * (d + 1):d + 1]
+            kept = diag.copy()
+            rho[..., cone, cone] *= damping[s]
+            diag[...] = kept
+    p = flat[..., ::d + 1].real
+    q = p[..., :t + 1] + p[..., t + 1:]
+    # clip with where: np.maximum would pass a NaN on, and this reads it as 0
+    return np.where(q > 0.0, q, 0.0)
+
+
 def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig = None) -> dict:
     """Final position distribution under the dephasing imperfection model.
 
     Coherences pick up one factor of the relevant visibility per
     interferometer displacer they traverse, so a closed pair damps the
-    recombined-path coherence by V^2.
-
-    rho is one (2T + 2)-square array in the frame of ``walk._coin_rows``:
-    after s steps (x, R) is index T + (x - s)/2 and (x, L) is
-    T + 1 + (x + s)/2, so the shift moves no data.  Before and after step s
-    the walker lies in the light-cone block [T + 1 - s, T + s].  A coin
-    touches its two rows and two columns within that block, dephasing
-    touches the block only, and port 2k - T sums indices k and T + 1 + k.
+    recombined-path coherence by V^2.  One unbatched call of
+    ``_walk_density``.
     """
     if config is None:
         config = IDEAL
-    damping = {}
-    for pair in schedule._structure[1]:
-        v = config.visibilities.get(pair, 1.0)
-        for member in pair:
-            damping[member] = damping.get(member, 1.0) * v
-
     t = schedule.n_steps
-    psi = coin_column(coin_vector)
-    rho = np.zeros((2 * t + 2, 2 * t + 2), dtype=complex)
-    rho[t:t + 2, t:t + 2] = np.outer(psi, psi.conj())
-    for s, coins in enumerate(schedule.steps, start=1):
-        cone = slice(t + 1 - s, t + s + 1)
-        for x, m in coins.items():
-            rows = _coin_rows(t, s, x)
-            if rows is not None:
-                rho[rows, cone] = m @ rho[rows, cone]
-                rho[cone, rows] = rho[cone, rows] @ m.conj().T
-        v = damping.get(s, 1.0)
-        if v != 1.0:
-            block = rho[cone, cone]
-            diag = block.diagonal().copy()
-            block *= v
-            np.fill_diagonal(block, diag)
-
-    p = rho.diagonal().real
-    return {2 * k - t: max(0.0, float(q)) for k, q in enumerate(p[:t + 1] + p[t + 1:])}
+    damping = _damping(schedule._structure[1], config.visibilities)
+    p = _walk_density(t, schedule.steps, coin_column(coin_vector), damping)
+    return {2 * k - t: q for k, q in enumerate(p.tolist())}
 
 
-def _check_finite(dist: dict) -> None:
+def _check_finite(ports, probs: np.ndarray) -> None:
     """NaN fails every comparison, so the callers' range checks would let it through."""
-    for port, q in dist.items():
-        if not math.isfinite(q):
-            raise ValidationError(f"probability for port {port} is not finite: {q}")
+    finite = np.isfinite(probs)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        raise ValidationError(f"probability for port {ports[bad[-1]]} is not finite: {probs[bad]}")
+
+
+def _reweighted(ports, probs: np.ndarray, efficiencies: dict) -> np.ndarray:
+    """``apply_efficiencies`` over the trailing port axis of ``probs``."""
+    _check_finite(ports, probs)
+    for port, eta in efficiencies.items():
+        if not 0.0 < eta <= 1.0:
+            raise ValidationError(f"efficiency for port {port} must lie in (0, 1]")
+    weighted = probs * np.array([efficiencies.get(p, 1.0) for p in ports], dtype=float)
+    total = weighted.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
+        raise ValidationError("all probability removed by efficiencies")
+    return weighted / total
 
 
 def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:
     """Reweight port probabilities by detector efficiencies and renormalise."""
-    _check_finite(dist)
-    for port, eta in efficiencies.items():
-        if not 0.0 < eta <= 1.0:
-            raise ValidationError(f"efficiency for port {port} must lie in (0, 1]")
-    weighted = {p: q * efficiencies.get(p, 1.0) for p, q in dist.items()}
-    total = sum(weighted.values())
-    if total <= 0.0:
-        raise ValidationError("all probability removed by efficiencies")
-    return {p: q / total for p, q in weighted.items()}
+    ports = list(dist)
+    weighted = _reweighted(ports, np.array([dist[p] for p in ports], dtype=float), efficiencies)
+    return dict(zip(ports, weighted.tolist()))
 
 
 def _check_draw(total, seed) -> None:
@@ -196,21 +235,36 @@ def _check_draw(total, seed) -> None:
         raise ValidationError(f"seed must be an integer >= 0, not {seed!r}")
 
 
+def _sampling_weights(ports, probs: np.ndarray) -> np.ndarray:
+    """Multinomial weights over the trailing port axis of ``probs``.
+
+    Every entry must be finite and at least ``DEFAULT.psd_floor``, and every
+    distribution must sum to 1 within ``DEFAULT.distribution``; the entries
+    are clipped at 0 and each distribution renormalised.
+    """
+    _check_finite(ports, probs)
+    if (probs < DEFAULT.psd_floor).any():
+        raise ValidationError("negative probabilities cannot be sampled")
+    probs = np.clip(probs, 0.0, None)
+    sums = probs.sum(axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0) > DEFAULT.distribution
+    if off.any():
+        raise ValidationError(f"distribution sums to {sums[off][0]:.12f}, not 1")
+    return probs / sums
+
+
+def _std_error(q: float, total: int) -> float:
+    """Binomial standard error of a frequency q over ``total`` counts."""
+    return float(np.sqrt(q * (1.0 - q) / total))
+
+
 def sample_counts(dist: dict, total: int, seed: int) -> CountTable:
     """Multinomial draw over ports; identical seeds give identical tables."""
     _check_draw(total, seed)
-    _check_finite(dist)
     ports = sorted(dist)
-    probs = np.array([dist[p] for p in ports], dtype=float)
-    if np.any(probs < DEFAULT.psd_floor):
-        raise ValidationError("negative probabilities cannot be sampled")
-    probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > DEFAULT.distribution:
-        raise ValidationError(f"distribution sums to {probs.sum():.12f}, not 1")
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(total, probs)
-    return CountTable.from_counts({p: int(c) for p, c in zip(ports, draws)})
+    probs = _sampling_weights(ports, np.array([dist[p] for p in ports], dtype=float))
+    draws = np.random.default_rng(seed).multinomial(total, probs)
+    return CountTable.from_counts(dict(zip(ports, draws.tolist())))
 
 
 @dataclass(frozen=True)
@@ -227,27 +281,57 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
 
     Negative angles mirror the positive ones (the success probability is
     even in theta) and probe the second input state, whose conclusive
-    port is x = 0 instead of x = 2.  Each angle gets an independent
-    sub-stream of the seeded generator.
+    port is x = 0 instead of x = 2.  A magnitude up to ``DEFAULT.norm``
+    above pi/2 is taken as pi/2.  Each angle gets an independent sub-stream
+    of the seeded generator.
+
+    All angles walk in one batched ``_walk_density`` call.  Their circuits
+    differ only in the peel coin at position 1 of step 2, and a peel's
+    interferometers depend only on which of q, t and q*t exceed
+    ``DEFAULT.norm`` (all that ``CoinSchedule._structure`` reads of it), so
+    one checked schedule per such pattern supplies the layout and damping
+    of every angle that shares it.
     """
     _check_draw(total, seed)
     thetas = list(theta_values)
     for th in thetas:
         if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:
             raise ValidationError("sweep angles must have magnitude in (0, pi/2]")
+    if not thetas:
+        return []
     if config is None:
         config = IDEAL
+    signed = np.array(thetas, dtype=float)
+    mags = np.minimum(np.abs(signed), np.pi / 2.0)
+    peels = _usd_peel(mags)
+    if not _is_unitary(peels).all():
+        raise ValidationError("coin operation at position 1 in step 2 is not a 2x2 unitary")
+
+    tol = DEFAULT.norm
+    q, t = peels[:, 0, 0], peels[:, 0, 1]
+    patterns = zip((abs(q) > tol).tolist(), (abs(t) > tol).tolist(), (abs(q * t) > tol).tolist())
+    groups = {}
+    for i, key in enumerate(patterns):
+        groups.setdefault(key, []).append(i)
+    damping = {}
+    for members in groups.values():
+        schedule = build_circuit(usd_scenario(float(mags[members[0]])))
+        for s, v in _damping(schedule._structure[1], config.visibilities).items():
+            damping.setdefault(s, np.ones((len(thetas), 1, 1)))[members] = v
+    # the representatives differ from each other only in the peel
+    steps = [dict(coins) for coins in schedule.steps]
+    steps[1][1] = peels
+
+    n = schedule.n_steps
+    ports = [2 * k - n for k in range(n + 1)]
+    probs = _walk_density(n, steps, _usd_columns(np.sign(signed), mags), damping)
+    weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))
+
     children = np.random.SeedSequence(seed).spawn(len(thetas))
     rows = []
-    for th, child in zip(thetas, children):
-        mag = abs(th)
-        schedule = build_circuit(usd_scenario(mag))
-        state = usd_state(+1 if th > 0 else -1, mag)
-        success_port = 2 if th > 0 else 0
-        dist = run_density(schedule, state, config)
-        dist = apply_efficiencies(dist, config.port_efficiencies)
-        table = sample_counts(dist, total, int(child.generate_state(1)[0]))
-        p_hat = table.probabilities.get(success_port, 0.0)
-        err = table.std_errors.get(success_port, 0.0)
-        rows.append(SweepPoint(th, usd_success_probability(mag), p_hat, err))
+    for th, child, w in zip(thetas, children, weights):
+        draws = np.random.default_rng(int(child.generate_state(1)[0])).multinomial(total, w)
+        success = ports.index(2 if th > 0 else 0)
+        p_hat = int(draws[success]) / total
+        rows.append(SweepPoint(th, usd_success_probability(abs(th)), p_hat, _std_error(p_hat, total)))
     return rows

@@ -266,7 +266,15 @@ def usd_state(sign: int, theta: float) -> np.ndarray:
     """The pair of non-orthogonal states cos(t/2)|H> +/- sin(t/2)|V>."""
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    return np.array([np.cos(theta / 2.0), sign * np.sin(theta / 2.0)], dtype=complex)
+    return _usd_columns(sign, theta)
+
+
+def _usd_columns(sign, theta) -> np.ndarray:
+    """``usd_state`` unchecked, for a sign and an angle or for equal-shaped arrays of them.
+
+    The coin axis is last.
+    """
+    return np.stack([np.cos(theta / 2.0), sign * np.sin(theta / 2.0)], axis=-1).astype(complex)
 
 
 def trine_scenario() -> list:
@@ -296,24 +304,38 @@ def usd_scenario(theta: float) -> list:
     """Discrimination circuit for the state pair at separation angle theta.
 
     Requires 0 < theta <= pi/2 so that tan(theta/2) <= 1 and the matrix
-    square root stays real.
+    square root stays real; an angle up to ``DEFAULT.norm`` above pi/2 is
+    taken as pi/2.
     """
     if not 0.0 < theta <= np.pi / 2.0 + DEFAULT.norm:
         raise ValidationError("theta must lie in (0, pi/2]")
-    t = np.tan(theta / 2.0)
-    q = np.sqrt(max(0.0, 1.0 - t * t))
-    peel = np.array([[q, t], [t, -q]], dtype=complex)
     return [
-        IterationPair(IDENTITY_COIN, peel),
+        IterationPair(IDENTITY_COIN, _usd_peel(min(theta, np.pi / 2.0))),
         IterationPair(HADAMARD_LIKE, IDENTITY_COIN),
     ]
 
 
+def _usd_peel(theta) -> np.ndarray:
+    """The peel coin [[q, t], [t, -q]], t = tan(theta/2), q = sqrt(1 - t^2), for 0 < theta <= pi/2.
+
+    Unchecked; ``theta`` may be an array of angles, which gives a stack of coins.
+    """
+    t = np.tan(np.asarray(theta) / 2.0)
+    q = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    peel = np.empty(t.shape + (2, 2), dtype=complex)
+    peel[..., 0, 0], peel[..., 0, 1] = q, t
+    peel[..., 1, 0], peel[..., 1, 1] = t, -q
+    return peel
+
+
 def usd_success_probability(theta: float) -> float:
-    """Probability of a conclusive outcome: 2 sin^2(theta/2) = 1 - cos(theta)."""
+    """Probability of a conclusive outcome: 2 sin^2(theta/2) = 1 - cos(theta).
+
+    An angle up to ``DEFAULT.norm`` above pi/2 is taken as pi/2.
+    """
     if not 0.0 <= theta <= np.pi / 2.0 + DEFAULT.norm:
         raise ValidationError("theta must lie in [0, pi/2]")
-    return float(1.0 - np.cos(theta))
+    return float(1.0 - np.cos(min(theta, np.pi / 2.0)))
 
 
 _SCENARIOS = {"trine": trine_scenario, "sic": sic_scenario, "usd": usd_scenario}

@@ -62,6 +62,19 @@ def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
 
 
+def _is_unitary(ms: np.ndarray) -> np.ndarray:
+    """``validate_coin``'s test over a (..., 2, 2) stack: True where a coin passes.
+
+    Every comparison is ``<=``, so a NaN or infinite entry reads False.
+    """
+    a, b, c, d = ms[..., 0, 0], ms[..., 0, 1], ms[..., 1, 0], ms[..., 1, 1]
+    col0 = np.hypot(abs(a), abs(c))
+    col1 = np.hypot(abs(b), abs(d))
+    return ((abs(col0 * col0 - 1.0) <= DEFAULT.unitarity)
+            & (abs(col1 * col1 - 1.0) <= DEFAULT.unitarity)
+            & (abs(a.conj() * b + c.conj() * d) <= DEFAULT.unitarity))
+
+
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a complex vector, by ``math.hypot`` over its parts.
 

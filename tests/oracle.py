@@ -11,6 +11,9 @@ These are the engines the package used before the array propagator in
   ``interferometers``, with the ``_is_mixing`` test they apply;
 * the dense ``run_density``, which builds the full dim x dim step
   unitary and permutes the density matrix with ``np.ix_``;
+* the per-angle ``usd_sweep``, which builds, checks and walks one
+  schedule per angle and draws its counts through ``sample_counts``,
+  where ``experiment.usd_sweep`` walks every angle in one batch;
 * ``so3``, the Bloch rotation of a coin as nine separate traces, which
   ``optics._so3`` now writes out entry by entry for a stack of coins;
 * the search ``decompose``, which tries identity, HWP, QWP, both pair
@@ -20,8 +23,9 @@ These are the engines the package used before the array propagator in
   each in turn, where ``optics._lower`` now solves and verifies a whole
   stack of coins one candidate class at a time.
 
-``tests/test_propagator.py`` and ``tests/test_optics.py`` hold the
-package to these on random schedules and coins.  They are slow by design
+``tests/test_propagator.py``, ``tests/test_optics.py`` and
+``tests/test_experiment.py`` hold the package to these on random
+schedules, coins and sweeps.  They are slow by design
 (``run_density`` is O(T dim^3)) and are not part of the package.
 """
 
@@ -29,9 +33,23 @@ import math
 
 import numpy as np
 
-from walkpovm.experiment import IDEAL
+from walkpovm.experiment import (
+    IDEAL,
+    SweepPoint,
+    _check_draw,
+    apply_efficiencies,
+    run_density as package_run_density,
+    sample_counts,
+)
 from walkpovm.optics import WavePlate, _phase_aligned_dist, _so3, plates_matrix, qwp
-from walkpovm.povm import PovmElement, PovmSet
+from walkpovm.povm import (
+    PovmElement,
+    PovmSet,
+    build_circuit,
+    usd_scenario,
+    usd_state,
+    usd_success_probability,
+)
 from walkpovm.tolerances import DEFAULT
 from walkpovm.walk import L, R, ValidationError, WalkState, coin_column, validate_coin
 
@@ -213,6 +231,31 @@ def run_density(schedule, coin_vector, config=None) -> dict:
         p = rho[idx(x, R), idx(x, R)].real + rho[idx(x, L), idx(x, L)].real
         out[x] = max(0.0, float(p))
     return out
+
+
+def usd_sweep(theta_values, config=None, total: int = 40000, seed: int = 0) -> list:
+    """Conclusive-outcome probability across state separations, one angle at a time."""
+    _check_draw(total, seed)
+    thetas = list(theta_values)
+    for th in thetas:
+        if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:
+            raise ValidationError("sweep angles must have magnitude in (0, pi/2]")
+    if config is None:
+        config = IDEAL
+    children = np.random.SeedSequence(seed).spawn(len(thetas))
+    rows = []
+    for th, child in zip(thetas, children):
+        mag = min(abs(th), np.pi / 2.0)
+        schedule = build_circuit(usd_scenario(mag))
+        state = usd_state(+1 if th > 0 else -1, mag)
+        success_port = 2 if th > 0 else 0
+        dist = package_run_density(schedule, state, config)
+        dist = apply_efficiencies(dist, config.port_efficiencies)
+        table = sample_counts(dist, total, int(child.generate_state(1)[0]))
+        p_hat = table.probabilities.get(success_port, 0.0)
+        err = table.std_errors.get(success_port, 0.0)
+        rows.append(SweepPoint(th, usd_success_probability(mag), p_hat, err))
+    return rows
 
 
 def so3(u: np.ndarray) -> np.ndarray:

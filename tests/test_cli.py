@@ -429,3 +429,10 @@ def test_option_the_command_does_not_read_exits_1(args):
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_sweep_takes_an_angle_just_above_90_degrees_as_90_degrees():
+    # 90.00000000005° is pi/2 + 8.7e-13 rad, inside the gate's DEFAULT.norm
+    code, out = invoke("sweep", "--thetas", "90.00000000005°,-90.00000000005°")
+    assert code == 0
+    assert out == invoke("sweep", "--thetas", "90°,-90°")[1]

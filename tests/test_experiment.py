@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import oracle
+from conftest import random_unitary
 from walkpovm import walk
 from walkpovm.experiment import (
     CountTable,
     ImperfectionConfig,
+    _damping,
+    _walk_density,
     apply_efficiencies,
     run_density,
     sample_counts,
@@ -14,9 +18,13 @@ from walkpovm.experiment import (
 )
 from walkpovm.povm import (
     NAMED_STATES,
+    IterationPair,
+    build_circuit,
     scenario_port_map,
     scenario_schedule,
+    usd_scenario,
     usd_state,
+    usd_success_probability,
 )
 from walkpovm.walk import ValidationError
 
@@ -85,6 +93,36 @@ def test_usd_perfect_visibility_full_success():
     schedule = scenario_schedule("usd", np.pi / 2)
     dist = run_density(schedule, usd_state(+1, np.pi / 2))
     assert dist[2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_batched_density_walk_equals_each_singleton_walk(n):
+    # Haar schedules of one size share build_circuit's layout; the batch stacks
+    # their coins, and a walk with no damping at a step is damped by V = 1 there
+    rng = np.random.default_rng(n)
+    visibilities = [1.0, 0.0, 0.93, None]
+    schedules, psis, dampings = [], [], []
+    for v in visibilities:
+        schedule = build_circuit([IterationPair(random_unitary(rng), random_unitary(rng))
+                                  for _ in range(n - 1)])
+        vis = {pair: float(rng.uniform(0.5, 1.0)) if v is None else v
+               for pair in schedule._structure[1]}
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        schedules.append(schedule)
+        psis.append(z / np.linalg.norm(z))
+        dampings.append(_damping(schedule._structure[1], vis))
+    t = schedules[0].n_steps
+    steps = [{x: np.stack([sch.steps[s][x] for sch in schedules]) for x in coins}
+             for s, coins in enumerate(schedules[0].steps)]
+    damping = {}
+    for b, d in enumerate(dampings):
+        for s, v in d.items():
+            damping.setdefault(s, np.ones((len(schedules), 1, 1)))[b] = v
+    batched = _walk_density(t, steps, np.stack(psis), damping)
+    assert batched.shape == (len(schedules), t + 1)
+    for b, schedule in enumerate(schedules):
+        single = _walk_density(t, schedule.steps, psis[b], dampings[b])
+        assert np.array_equal(batched[b], single)
 
 
 def test_visibility_validation():
@@ -285,3 +323,39 @@ def test_sweep_sampling_tracks_theory():
 def test_sweep_rejects_zero_angle():
     with pytest.raises(ValidationError):
         usd_sweep([0.0], total=100, seed=0)
+
+
+# angles just above pi/2 that the gates admit, a near-zero angle whose peel coin
+# rounds to diagonal (no interferometer, a support pattern of its own) and generic ones
+EDGE_ANGLES = [1e-13, 1e-7, 0.3, 1.0, np.pi / 2, np.pi / 2 + 5e-13, np.pi / 2 + 1e-12]
+
+
+@pytest.mark.parametrize("visibility", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("thetas", [
+    [s * th for th in EDGE_ANGLES for s in (1, -1)],
+    [-np.pi / 2 - 1e-12, 1e-13, 0.3, -1e-7, np.pi / 2, -1.0, np.pi / 2 + 5e-13, 0.3],
+    [0.7],
+    [-1e-13],
+    [],
+], ids=["edges-both-signs", "edges-mixed", "one", "one-edge", "none"])
+def test_sweep_equals_the_per_angle_oracle(thetas, visibility):
+    cfg = ImperfectionConfig(visibilities={(1, 2): visibility},
+                             port_efficiencies={-2: 0.98, 0: 0.97, 2: 1.0, 4: 0.99})
+    for config, total, seed in ((cfg, 5000, 3), (None, 40000, 11)):
+        assert (usd_sweep(thetas, config, total=total, seed=seed)
+                == oracle.usd_sweep(thetas, config, total=total, seed=seed))
+
+
+@pytest.mark.parametrize("eps", [5e-13, 1e-12])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sweep_takes_an_angle_just_above_pi_over_two_as_pi_over_two(sign, eps):
+    # tan(theta/2) > 1 there, so the peel coin used to fail its unitarity check
+    cfg = ImperfectionConfig(visibilities={(1, 2): 0.9}, port_efficiencies={0: 0.97})
+    edge = usd_sweep([sign * (np.pi / 2 + eps)], cfg, total=5000, seed=2)[0]
+    right = usd_sweep([sign * np.pi / 2], cfg, total=5000, seed=2)[0]
+    assert edge.theta == sign * (np.pi / 2 + eps)
+    assert (edge.p_theory, edge.p_sampled, edge.std_error) == (
+        right.p_theory, right.p_sampled, right.std_error)
+    assert edge.p_theory <= 1.0
+    assert usd_success_probability(np.pi / 2 + eps) == usd_success_probability(np.pi / 2)
+    assert np.array_equal(usd_scenario(np.pi / 2 + eps)[0].c2, usd_scenario(np.pi / 2)[0].c2)
