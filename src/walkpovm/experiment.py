@@ -5,12 +5,16 @@ One density engine, ``_walk_density``, evolves the density matrix over
 displacer belonging to an interferometer with visibility V, off-diagonal
 coherences are multiplied by V.  It keeps rho in the frame of
 ``walk._coin_rows``, which moves with the beam displacer, so the
-conditional shift changes no data; a step rewrites only its coins' rows
-and columns and, when it dephases, the light-cone block the walker
-occupies.  With all visibilities at 1 it reproduces the ideal pure-state
-probabilities exactly.  It has a leading batch axis: ``run_density``
-calls it for one walk, and ``usd_sweep`` for all of a sweep's angles at
-once, stacking the one coin in which their circuits differ.
+conditional shift changes no data, and a coin rewrites only its two rows
+and columns.  It dephases lazily: rho is scale * A, and a damped step
+divides A's light-cone diagonal by V and multiplies scale by V, O(s)
+work where damping the block costs O(s^2).  Only where scale would fall
+below a fixed floor (V = 0, or many small V) does a step damp the block
+and fold scale into A.  With all visibilities at 1 it reproduces the
+ideal pure-state probabilities exactly.  It has a leading batch axis:
+``run_density`` calls it for one walk, and ``usd_sweep`` for all of a
+sweep's angles at once, stacking the one coin in which their circuits
+differ.
 
 ``sample_counts`` adds multinomial shot noise with a seeded, portable
 generator, and ``apply_efficiencies`` models per-port detector
@@ -35,9 +39,9 @@ from .walk import CoinSchedule, ValidationError, _coin_rows, _is_unitary, coin_c
 class ImperfectionConfig:
     """Optical non-idealities of the apparatus.
 
-    ``visibilities`` maps an interferometer (its displacer pair) to the
-    interference contrast in [0, 1]; pairs absent from the map are
-    perfect.  ``port_efficiencies`` maps detection ports to relative
+    ``visibilities`` maps an interferometer, its (int, int) displacer
+    pair, to the interference contrast in [0, 1]; pairs absent from the
+    map are perfect.  ``port_efficiencies`` maps detection ports to relative
     detector efficiencies in (0, 1]; their spread must stay inside
     ``imbalance_budget``, a finite number >= 0.  ``from_json`` rejects any
     key it does not know except the ``"seed"`` older files carry.
@@ -52,6 +56,11 @@ class ImperfectionConfig:
             raise ValidationError(
                 f"imbalance_budget must be finite and >= 0, not {self.imbalance_budget}")
         for pair, v in self.visibilities.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                            for a in pair)):
+                raise ValidationError(
+                    f"visibility key {pair!r} must be an (int, int) displacer pair")
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"visibility for {pair} must lie in [0, 1]")
         for port, eta in self.port_efficiencies.items():
@@ -98,7 +107,10 @@ IDEAL = ImperfectionConfig()
 
 @dataclass(frozen=True)
 class CountTable:
-    """Per-port photon counts with normalised probabilities and standard errors."""
+    """Per-port photon counts with normalised probabilities and standard errors.
+
+    ``from_counts`` takes integer counts >= 0 with a positive total.
+    """
 
     counts: dict
     total: int
@@ -107,12 +119,16 @@ class CountTable:
 
     @classmethod
     def from_counts(cls, counts: dict) -> "CountTable":
-        total = int(sum(counts.values()))
+        for port, c in counts.items():
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+                raise ValidationError(f"count for port {port} must be an integer >= 0, not {c!r}")
+        counts = {p: int(c) for p, c in counts.items()}
+        total = sum(counts.values())
         if total <= 0:
             raise ValidationError("count table needs a positive total")
         probs = {p: c / total for p, c in counts.items()}
-        errs = {p: _std_error(q, total) for p, q in probs.items()}
-        return cls(dict(counts), total, probs, errs)
+        errs = _std_error(np.array(list(probs.values())), total)
+        return cls(counts, total, probs, dict(zip(probs, errs.tolist())))
 
     def parenthetical(self, port: int, digits: int = 4) -> str:
         """Value with the uncertainty in the last printed digits, e.g. 0.1684(19)."""
@@ -128,6 +144,11 @@ class CountTable:
             "std_errors": {str(p): v for p, v in sorted(self.std_errors.items())},
         }
         return json.dumps(payload, sort_keys=True)
+
+
+# the smallest scale a lazy walk keeps before it folds: scale stays a normal
+# number, and A's entries stay below about 1/_FOLD_FLOOR (7e153), far from overflow
+_FOLD_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 def _damping(pairs, visibilities: dict) -> dict:
@@ -148,18 +169,33 @@ def _walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
 
     ``psi`` is (..., 2) and each coin (2, 2), or (B, 2, 2) for a batch of B
     walks that share the schedule's layout.  ``damping`` maps a step to its
-    V, a float or a (B, 1, 1) array, and holds only steps with V != 1.
+    V, a float or a (B, 1) array, and holds only steps with V != 1.
     Returns (..., t + 1): port 2k - t at k, clipped at 0.
 
-    rho is (..., 2t + 2, 2t + 2) in the frame of ``walk._coin_rows``:
-    after s steps (x, R) is index t + (x - s)/2 and (x, L) is
-    t + 1 + (x + s)/2, so the shift moves no data.  Before and after step s
-    the walker lies in the light-cone block [t + 1 - s, t + s].  A coin
-    touches its two rows and two columns within that block, dephasing
-    touches the block only, and port 2k - t sums indices k and t + 1 + k.
+    rho is scale * A, with A (..., 2t + 2, 2t + 2) in the frame of
+    ``walk._coin_rows``: after s steps (x, R) is index t + (x - s)/2 and
+    (x, L) is t + 1 + (x + s)/2, so the shift moves no data.  Before and
+    after step s the walker lies in the light-cone block [t + 1 - s, t + s].
+    A coin touches its two rows and two columns within that block.  Damping
+    by V, which keeps rho's diagonal and multiplies the rest of the block by
+    V, divides A's block diagonal by V and multiplies scale by V instead;
+    A is zero outside the block, so this is exact and costs O(s), not
+    O(s^2).  Port 2k - t is scale * (A[k, k] + A[t + 1 + k, t + 1 + k]).
+
+    scale holds one factor per walk.  A walk whose scale * V would fall
+    below ``_FOLD_FLOOR`` (V = 0, or many small V in a row) damps the block
+    instead and folds its scale into A, so A stays finite.  Each walk of a
+    batch folds exactly when it would alone; while some walks fold, the
+    others take their lazy step through factors of exactly 1, so the batch
+    gives every walk's singleton result bit for bit.
     """
     d = 2 * t + 2
     rho = np.zeros(psi.shape[:-1] + (d, d), dtype=complex)
+    # a float, or (B, 1) once a batch's V has been applied.  fl(scale * V) <= scale
+    # for V <= 1, so when the product of all the V stays above the floor, no step
+    # can fold and none needs to look
+    scale = 1.0
+    may_fold = not np.all(math.prod(damping[s] for s in sorted(damping)) >= _FOLD_FLOOR)
     # rho is contiguous, so every (d + 1)-th entry of this view is on its diagonal,
     # and a basic slice of it is a writable view of a block's diagonal
     flat = rho.reshape(psi.shape[:-1] + (d * d,))
@@ -173,12 +209,21 @@ def _walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
                 rho[..., rows, cone] = m @ rho[..., rows, cone]
                 rho[..., cone, rows] = rho[..., cone, rows] @ m.conj().swapaxes(-1, -2)
         if s in damping:
+            v = damping[s]
             diag = flat[..., lo * (d + 1):hi * (d + 1):d + 1]
-            kept = diag.copy()
-            rho[..., cone, cone] *= damping[s]
-            diag[...] = kept
+            lazy = scale * v
+            if may_fold and np.any(fold := lazy < _FOLD_FLOOR):
+                # rho = scale * (V A_off + A_diag) on the folding walks; the others
+                # see their lazy step with factors of exactly 1 in between
+                kept = diag * np.where(fold, scale, 1.0) / np.where(fold, 1.0, v)
+                rho[..., cone, cone] *= np.where(fold, lazy, 1.0)[..., None]
+                diag[...] = kept
+                scale = np.where(fold, 1.0, lazy)
+            else:
+                diag /= v
+                scale = lazy
     p = flat[..., ::d + 1].real
-    q = p[..., :t + 1] + p[..., t + 1:]
+    q = scale * (p[..., :t + 1] + p[..., t + 1:])
     # clip with where: np.maximum would pass a NaN on, and this reads it as 0
     return np.where(q > 0.0, q, 0.0)
 
@@ -253,9 +298,9 @@ def _sampling_weights(ports, probs: np.ndarray) -> np.ndarray:
     return probs / sums
 
 
-def _std_error(q: float, total: int) -> float:
-    """Binomial standard error of a frequency q over ``total`` counts."""
-    return float(np.sqrt(q * (1.0 - q) / total))
+def _std_error(q: np.ndarray, total: int) -> np.ndarray:
+    """Binomial standard errors of the frequencies q over ``total`` counts."""
+    return np.sqrt(q * (1.0 - q) / total)
 
 
 def sample_counts(dist: dict, total: int, seed: int) -> CountTable:
@@ -317,7 +362,7 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     for members in groups.values():
         schedule = build_circuit(usd_scenario(float(mags[members[0]])))
         for s, v in _damping(schedule._structure[1], config.visibilities).items():
-            damping.setdefault(s, np.ones((len(thetas), 1, 1)))[members] = v
+            damping.setdefault(s, np.ones((len(thetas), 1)))[members] = v
     # the representatives differ from each other only in the peel
     steps = [dict(coins) for coins in schedule.steps]
     steps[1][1] = peels
@@ -328,10 +373,10 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))
 
     children = np.random.SeedSequence(seed).spawn(len(thetas))
-    rows = []
+    p_hats = []
     for th, child, w in zip(thetas, children, weights):
         draws = np.random.default_rng(int(child.generate_state(1)[0])).multinomial(total, w)
-        success = ports.index(2 if th > 0 else 0)
-        p_hat = int(draws[success]) / total
-        rows.append(SweepPoint(th, usd_success_probability(abs(th)), p_hat, _std_error(p_hat, total)))
-    return rows
+        p_hats.append(int(draws[ports.index(2 if th > 0 else 0)]) / total)
+    errs = _std_error(np.array(p_hats), total).tolist()
+    return [SweepPoint(th, usd_success_probability(abs(th)), p_hat, err)
+            for th, p_hat, err in zip(thetas, p_hats, errs)]

@@ -1,5 +1,7 @@
 import numpy as np
 
+from walkpovm.experiment import _FOLD_FLOOR
+
 
 def random_unitary(rng) -> np.ndarray:
     """Haar-random 2x2 unitary (Ginibre + QR with phase fix)."""
@@ -25,3 +27,18 @@ def assert_equal_upto_phase(a, b, tol=1e-10):
     phase = t / abs(t)
     err = np.max(np.abs(a - phase * b))
     assert err <= tol, f"matrices differ by {err:.3g} beyond a global phase"
+
+
+def fold_steps(damping: dict) -> list:
+    """The steps at which ``experiment._walk_density`` folds a walk with this damping.
+
+    A lazy walk carries scale, the product of the V met since its last fold,
+    and folds where scale * V would fall below ``_FOLD_FLOOR``.
+    """
+    scale, steps = 1.0, []
+    for s in sorted(damping):
+        scale *= damping[s]
+        if scale < _FOLD_FLOOR:
+            scale = 1.0
+            steps.append(s)
+    return steps

@@ -11,6 +11,10 @@ These are the engines the package used before the array propagator in
   ``interferometers``, with the ``_is_mixing`` test they apply;
 * the dense ``run_density``, which builds the full dim x dim step
   unitary and permutes the density matrix with ``np.ix_``;
+* the eager frame engine ``walk_density``/``run_density_eager``, which
+  multiplies the whole light-cone block of rho by V at every damped
+  step, where ``experiment._walk_density`` rescales only the diagonal
+  of rho = scale * A;
 * the per-angle ``usd_sweep``, which builds, checks and walks one
   schedule per angle and draws its counts through ``sample_counts``,
   where ``experiment.usd_sweep`` walks every angle in one batch;
@@ -26,7 +30,8 @@ These are the engines the package used before the array propagator in
 ``tests/test_propagator.py``, ``tests/test_optics.py`` and
 ``tests/test_experiment.py`` hold the package to these on random
 schedules, coins and sweeps.  They are slow by design
-(``run_density`` is O(T dim^3)) and are not part of the package.
+(``run_density`` is O(T dim^3), ``walk_density`` O(T^3)) and are not
+part of the package.
 """
 
 import math
@@ -51,7 +56,15 @@ from walkpovm.povm import (
     usd_success_probability,
 )
 from walkpovm.tolerances import DEFAULT
-from walkpovm.walk import L, R, ValidationError, WalkState, coin_column, validate_coin
+from walkpovm.walk import (
+    L,
+    R,
+    ValidationError,
+    WalkState,
+    _coin_rows,
+    coin_column,
+    validate_coin,
+)
 
 # tolerance for the SO(3) pattern tests inside decompose; final results
 # are always re-verified against the unitary at DEFAULT.plate_product
@@ -173,6 +186,16 @@ def output_ports(schedule) -> list:
     return sorted({x for (x, _c) in reach})
 
 
+def _damping(schedule, config) -> dict:
+    """Step -> V, the product of the visibilities of the interferometers it closes or opens."""
+    damping = {}
+    for pair in interferometers(schedule):
+        v = config.visibilities.get(pair, 1.0)
+        for member in pair:
+            damping[member] = damping.get(member, 1.0) * v
+    return damping
+
+
 def run_density(schedule, coin_vector, config=None) -> dict:
     """Final position distribution under the dephasing imperfection model.
 
@@ -196,11 +219,7 @@ def run_density(schedule, coin_vector, config=None) -> dict:
         vec[idx(x, c)] = a
     rho = np.outer(vec, vec.conj())
 
-    damping = {}
-    for pair in interferometers(schedule):
-        v = config.visibilities.get(pair, 1.0)
-        for member in pair:
-            damping[member] = damping.get(member, 1.0) * v
+    damping = _damping(schedule, config)
 
     # cyclic shift permutation; support never reaches the wrap-around edge
     dest = np.arange(dim)
@@ -231,6 +250,46 @@ def run_density(schedule, coin_vector, config=None) -> dict:
         p = rho[idx(x, R), idx(x, R)].real + rho[idx(x, L), idx(x, L)].real
         out[x] = max(0.0, float(p))
     return out
+
+
+def walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
+    """Port probabilities of a dephasing walk, damping the whole light-cone block.
+
+    The frame and the result are those of ``experiment._walk_density``; a
+    damped step keeps the block's diagonal and multiplies the whole block
+    by V.  ``damping`` maps a step to a float V, or to a (B, 1, 1) array
+    for a batch of B walks.
+    """
+    d = 2 * t + 2
+    rho = np.zeros(psi.shape[:-1] + (d, d), dtype=complex)
+    flat = rho.reshape(psi.shape[:-1] + (d * d,))
+    rho[..., t:t + 2, t:t + 2] = psi[..., :, None] * psi[..., None, :].conj()
+    for s, coins in enumerate(steps, start=1):
+        lo, hi = t + 1 - s, t + s + 1
+        cone = slice(lo, hi)
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                rho[..., rows, cone] = m @ rho[..., rows, cone]
+                rho[..., cone, rows] = rho[..., cone, rows] @ m.conj().swapaxes(-1, -2)
+        if s in damping:
+            diag = flat[..., lo * (d + 1):hi * (d + 1):d + 1]
+            kept = diag.copy()
+            rho[..., cone, cone] *= damping[s]
+            diag[...] = kept
+    p = flat[..., ::d + 1].real
+    q = p[..., :t + 1] + p[..., t + 1:]
+    return np.where(q > 0.0, q, 0.0)
+
+
+def run_density_eager(schedule, coin_vector, config=None) -> dict:
+    """``run_density`` on the eager frame engine ``walk_density``."""
+    if config is None:
+        config = IDEAL
+    t = schedule.n_steps
+    damping = {s: v for s, v in _damping(schedule, config).items() if v != 1.0}
+    p = walk_density(t, schedule.steps, coin_column(coin_vector), damping)
+    return {2 * k - t: q for k, q in enumerate(p.tolist())}
 
 
 def usd_sweep(theta_values, config=None, total: int = 40000, seed: int = 0) -> list:

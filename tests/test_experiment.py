@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oracle
-from conftest import random_unitary
+from conftest import fold_steps, random_unitary
 from walkpovm import walk
 from walkpovm.experiment import (
     CountTable,
@@ -98,9 +99,11 @@ def test_usd_perfect_visibility_full_success():
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_batched_density_walk_equals_each_singleton_walk(n):
     # Haar schedules of one size share build_circuit's layout; the batch stacks
-    # their coins, and a walk with no damping at a step is damped by V = 1 there
+    # their coins, and a walk with no damping at a step is damped by V = 1 there.
+    # V = 0 folds at every damped step and V = 1e-60 after two lazy ones, while
+    # the walks at 0.93 and U[0.5, 1] stay lazy throughout
     rng = np.random.default_rng(n)
-    visibilities = [1.0, 0.0, 0.93, None]
+    visibilities = [1.0, 0.0, 0.93, None, 1e-60]
     schedules, psis, dampings = [], [], []
     for v in visibilities:
         schedule = build_circuit([IterationPair(random_unitary(rng), random_unitary(rng))
@@ -117,7 +120,8 @@ def test_batched_density_walk_equals_each_singleton_walk(n):
     damping = {}
     for b, d in enumerate(dampings):
         for s, v in d.items():
-            damping.setdefault(s, np.ones((len(schedules), 1, 1)))[b] = v
+            damping.setdefault(s, np.ones((len(schedules), 1)))[b] = v
+    assert [bool(fold_steps(d)) for d in dampings] == [False, n > 2, False, False, n > 2]
     batched = _walk_density(t, steps, np.stack(psis), damping)
     assert batched.shape == (len(schedules), t + 1)
     for b, schedule in enumerate(schedules):
@@ -132,6 +136,20 @@ def test_visibility_validation():
         ImperfectionConfig(port_efficiencies={0: 0.0})
     with pytest.raises(ValidationError):
         ImperfectionConfig(port_efficiencies={0: 1.0, 2: 0.9})  # 10% spread
+
+
+@pytest.mark.parametrize("key", [1, (1,), (1, 2, 3), "1-2", (1.0, 2), (True, 2)],
+                         ids=["int", "1-tuple", "3-tuple", "str", "float", "bool"])
+def test_visibility_key_must_be_a_displacer_pair(key):
+    # {1: 0.5} used to be accepted, and its to_json raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"^visibility key {re.escape(repr(key))} "):
+        ImperfectionConfig(visibilities={key: 0.5})
+
+
+def test_visibility_key_may_hold_numpy_integers():
+    cfg = ImperfectionConfig(visibilities={(np.int64(1), np.int64(2)): 0.5})
+    assert ImperfectionConfig.from_json(cfg.to_json()) == ImperfectionConfig(
+        visibilities={(1, 2): 0.5})
 
 
 def test_imperfection_config_json_round_trip():
@@ -221,6 +239,32 @@ def test_sample_counts_invariants():
         assert table.std_errors[p] == pytest.approx(
             np.sqrt(q * (1 - q) / 40000), abs=1e-15
         )
+
+
+@pytest.mark.parametrize("counts, port", [
+    ({0: 3, 2: -1}, 2),
+    ({0: 2.5, 2: 1}, 0),
+    ({0: 3, 2: 1.0}, 2),
+    ({0: True, 2: 1}, 0),
+    ({0: 3, 2: np.float64(1.0)}, 2),
+    ({0: 3, 2: "1"}, 2),
+], ids=["negative", "fraction", "integral-float", "bool", "numpy-float", "str"])
+def test_count_table_takes_only_integer_counts_at_least_zero(counts, port):
+    # a negative count reached sqrt as a RuntimeWarning, and {0: 2.5, 2: 1}
+    # gave probabilities summing to 1.17
+    with pytest.raises(ValidationError, match=f"^count for port {port} must be an integer >= 0"):
+        CountTable.from_counts(counts)
+
+
+def test_count_table_std_errors_equal_the_per_port_formula():
+    for counts in ({0: 6736, 2: 6844, 4: 26420}, {0: 0, 2: 1}, {-3: 7, 1: np.int64(11), 5: 0}):
+        table = CountTable.from_counts(counts)
+        assert table.counts == {p: int(c) for p, c in counts.items()}
+        for p, c in counts.items():
+            q = int(c) / table.total
+            assert table.probabilities[p] == q
+            assert table.std_errors[p] == float(np.sqrt(q * (1.0 - q) / table.total))
+        json.loads(table.to_json())
 
 
 def test_sample_counts_point_mass():

@@ -10,7 +10,7 @@ Two families of random schedules:
   interferometers have structure to get wrong.
 
 Amplitudes, distributions and extracted effects agree within 1e-12; port
-and interferometer lists are equal exactly.  Each density comparison
+and interferometer lists are equal exactly.  Each dense density comparison
 runs with visibilities 1, 0.97, uniform in [0.5, 1] and 0.  A few
 hand-made schedules probe the edges of the walk frame: one step, stray
 coins outside the light cone or on the wrong parity, which every engine
@@ -19,7 +19,11 @@ oracle costs O(T dim^3) (4.5 s at n = 64 on a 2-core x86 host), so the
 peel-off density comparison runs on the circuits with n <= 16 and the one
 nearest n = 40; seven larger circuits up to the largest n are held to
 the dict engine's distribution at visibility 1 and to being a
-distribution otherwise.
+distribution otherwise.  The eager frame engine, which damps the whole
+light-cone block, is cheap enough for every schedule: the lazy engine
+meets it at visibilities 1, 0.97, uniform in [0.5, 1], 0, 0.5 and 1e-3,
+and at 1e-60 and 1e-300 on the n = 64 circuit, where it folds its scale
+into rho more than once in one walk.
 """
 
 from functools import lru_cache
@@ -28,7 +32,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import random_unitary
+from conftest import fold_steps, random_unitary
 from walkpovm import experiment, optics, povm, walk
 from walkpovm.experiment import ImperfectionConfig
 
@@ -80,14 +84,15 @@ def all_runs():
     return [(s, v) for _n, s, v in peel_off_cases()] + list(sparse_cases())
 
 
-def visibility_configs(schedule, rng):
+# None stands for a V drawn from U[0.5, 1] for each interferometer
+DENSE_VISIBILITIES = (1.0, 0.97, None, 0.0)
+EAGER_VISIBILITIES = DENSE_VISIBILITIES + (0.5, 1e-3)
+
+
+def visibility_configs(schedule, rng, values=DENSE_VISIBILITIES):
     pairs = optics.interferometers(schedule)
-    return [
-        ImperfectionConfig(),
-        ImperfectionConfig(visibilities={p: 0.97 for p in pairs}),
-        ImperfectionConfig(visibilities={p: float(rng.uniform(0.5, 1.0)) for p in pairs}),
-        ImperfectionConfig(visibilities={p: 0.0 for p in pairs}),
-    ]
+    return [ImperfectionConfig(visibilities={
+        p: float(rng.uniform(0.5, 1.0)) if v is None else v for p in pairs}) for v in values]
 
 
 def assert_same_amplitudes(got: walk.WalkState, want: walk.WalkState):
@@ -153,6 +158,30 @@ def test_run_density_matches_dense_engine():
                                      oracle.run_density(schedule, v, config))
 
 
+def test_run_density_matches_eager_engine():
+    rng = np.random.default_rng(123)
+    for schedule, v in all_runs():
+        for config in visibility_configs(schedule, rng, EAGER_VISIBILITIES):
+            assert_same_distribution(experiment.run_density(schedule, v, config),
+                                     oracle.run_density_eager(schedule, v, config))
+
+
+def test_run_density_folds_tiny_visibilities_like_the_eager_engine():
+    # V = 1e-60 or 1e-300 on every interferometer: the lazy scale would pass the
+    # floor (1.5e-154) within three damped steps, so it folds into rho again and
+    # again along one walk
+    for n, schedule, v in peel_off_cases():
+        if n == 64:
+            pairs = optics.interferometers(schedule)
+            for tiny in (1e-60, 1e-300):
+                config = ImperfectionConfig(visibilities={p: tiny for p in pairs})
+                damping = experiment._damping(pairs, config.visibilities)
+                assert len(fold_steps(damping)) > 1
+                got = experiment.run_density(schedule, v, config)
+                assert_same_distribution(got, oracle.run_density_eager(schedule, v, config))
+                assert sum(got.values()) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_run_density_on_large_circuits():
     rng = np.random.default_rng(7)
     large = sorted((c for c in peel_off_cases() if c[0] > DENSE_ORACLE_MAX_N), key=lambda c: c[0])
@@ -213,9 +242,10 @@ def test_run_density_edge_schedules(name):
     schedule, without_strays = edge_schedules()[name]
     rng = np.random.default_rng(11)
     v = _unit_vector(rng)
-    for config in visibility_configs(schedule, rng):
+    for config in visibility_configs(schedule, rng, EAGER_VISIBILITIES):
         got = experiment.run_density(schedule, v, config)
         assert_same_distribution(got, oracle.run_density(schedule, v, config))
+        assert_same_distribution(got, oracle.run_density_eager(schedule, v, config))
         if without_strays is not None:
             assert got == experiment.run_density(without_strays, v, config)
     if without_strays is not None:
