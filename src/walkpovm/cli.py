@@ -90,13 +90,6 @@ def _photon_count(text: str, command: str) -> int:
     return int(text)
 
 
-def _tolerance(text: str) -> float:
-    """``--tolerance``: NaN would pass every check and a negative value fail every one."""
-    if not 0.0 <= float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
-    return float(text)
-
-
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -189,10 +182,11 @@ def _cmd_run(args):
 def _cmd_extract(args):
     schedule = _load_schedule(args)
     result = povm.extract_povm(schedule)
-    if result.completeness_residual > args.tolerance:
+    tolerance = walk._real(args.tolerance, "--tolerance", 0.0)
+    if result.completeness_residual > tolerance:
         raise InvariantError(
             f"completeness residual {result.completeness_residual:.3g} exceeds "
-            f"tolerance {args.tolerance:.3g}"
+            f"tolerance {tolerance:.3g}"
         )
     header = ["label", "port", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im", "residual"]
@@ -259,7 +253,7 @@ def build_parser() -> _Parser:
         sampling(p, counts, counts_help)
 
     p = command("extract", _cmd_extract, "extract the implemented POVM")
-    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT.completeness)
+    p.add_argument("--tolerance", type=float, default=DEFAULT.completeness)
 
     command("compile", _cmd_compile, "compile to an optical netlist")
 

@@ -20,6 +20,8 @@ differ.
 generator, and ``apply_efficiencies`` models per-port detector
 imbalance; both check and reweight through array functions over a
 trailing port axis, which the sweep applies to all its angles at once.
+Counts, seeds and ports pass ``walk._integer``, visibilities and efficiencies
+``walk._real``, sweep angles ``povm._usd_angle``, coins ``walk.validate_coin``.
 """
 
 from __future__ import annotations
@@ -30,19 +32,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import _usd_columns, _usd_peel, build_circuit, usd_scenario, usd_success_probability
+from .povm import (_usd_angle, _usd_columns, _usd_peel, build_circuit, usd_scenario,
+                   usd_success_probability)
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _coin_rows, _is_unitary, coin_column, decoding
+from .walk import CoinSchedule, ValidationError, _coin_rows, _integer, _real, coin_column, decoding
 
 
 @dataclass(frozen=True)
 class ImperfectionConfig:
     """Optical non-idealities of the apparatus.
 
-    ``visibilities`` maps an interferometer, its (int, int) displacer
-    pair, to the interference contrast in [0, 1]; pairs absent from the
-    map are perfect.  ``port_efficiencies`` maps detection ports to relative
-    detector efficiencies in (0, 1]; their spread must stay inside
+    ``visibilities`` maps an interferometer, its (int, int) displacer pair, to
+    the interference contrast in [0, 1]; pairs absent from the map are
+    perfect, and a pair that is not an interferometer of the schedule being
+    run is ignored.  ``port_efficiencies`` maps integer detection ports to
+    relative detector efficiencies in (0, 1]; their spread must stay inside
     ``imbalance_budget``, a finite number >= 0.  ``from_json`` rejects any
     key it does not know except the ``"seed"`` older files carry.
     """
@@ -52,22 +56,22 @@ class ImperfectionConfig:
     imbalance_budget: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 <= self.imbalance_budget < math.inf:
-            raise ValidationError(
-                f"imbalance_budget must be finite and >= 0, not {self.imbalance_budget}")
+        vis = {}
         for pair, v in self.visibilities.items():
-            if not (isinstance(pair, tuple) and len(pair) == 2
-                    and all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                            for a in pair)):
-                raise ValidationError(
-                    f"visibility key {pair!r} must be an (int, int) displacer pair")
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"visibility for {pair} must lie in [0, 1]")
-        for port, eta in self.port_efficiencies.items():
-            if not 0.0 < eta <= 1.0:
-                raise ValidationError(f"efficiency for port {port} must lie in (0, 1]")
-        if self.port_efficiencies:
-            values = list(self.port_efficiencies.values())
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValidationError(f"visibility key {pair!r} must be an (int, int) displacer pair")
+            vis[tuple(_integer(a, f"visibility key {pair!r} entry") for a in pair)] = _real(
+                v, f"visibility for {pair}", 0.0, 1.0)
+        eff = {_integer(port, "efficiency port"):
+               _real(eta, f"efficiency for port {port}", 0.0, 1.0, open_low=True)
+               for port, eta in self.port_efficiencies.items()}
+        # keep the checked values, as ints and floats, so that to_json writes what was checked
+        object.__setattr__(self, "visibilities", vis)
+        object.__setattr__(self, "port_efficiencies", eff)
+        object.__setattr__(self, "imbalance_budget",
+                           _real(self.imbalance_budget, "imbalance_budget", 0.0))
+        if eff:
+            values = list(eff.values())
             spread = (max(values) - min(values)) / max(values)
             if spread > self.imbalance_budget + DEFAULT.norm:
                 raise ValidationError(
@@ -93,13 +97,9 @@ class ImperfectionConfig:
             vis = {}
             for key, v in data.get("visibilities", {}).items():
                 a, b = key.split("-")
-                vis[(int(a), int(b))] = float(v)
-            eff = {int(p): float(e) for p, e in data.get("port_efficiencies", {}).items()}
-            return cls(
-                visibilities=vis,
-                port_efficiencies=eff,
-                imbalance_budget=float(data.get("imbalance_budget", 0.05)),
-            )
+                vis[(int(a), int(b))] = v
+            eff = {int(p): e for p, e in data.get("port_efficiencies", {}).items()}
+            return cls(vis, eff, data.get("imbalance_budget", 0.05))
 
 
 IDEAL = ImperfectionConfig()
@@ -119,10 +119,7 @@ class CountTable:
 
     @classmethod
     def from_counts(cls, counts: dict) -> "CountTable":
-        for port, c in counts.items():
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-                raise ValidationError(f"count for port {port} must be an integer >= 0, not {c!r}")
-        counts = {p: int(c) for p, c in counts.items()}
+        counts = {p: _integer(c, f"count for port {p}", 0) for p, c in counts.items()}
         total = sum(counts.values())
         if total <= 0:
             raise ValidationError("count table needs a positive total")
@@ -228,18 +225,23 @@ def _walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
     return np.where(q > 0.0, q, 0.0)
 
 
+def _config(config) -> ImperfectionConfig:
+    """``IDEAL`` for None; any other value must be an ``ImperfectionConfig``."""
+    if config is None or isinstance(config, ImperfectionConfig):
+        return config or IDEAL
+    raise ValidationError(f"config must be an ImperfectionConfig or None, not {config!r}")
+
+
 def run_density(schedule: CoinSchedule, coin_vector, config: ImperfectionConfig = None) -> dict:
     """Final position distribution under the dephasing imperfection model.
 
     Coherences pick up one factor of the relevant visibility per
     interferometer displacer they traverse, so a closed pair damps the
-    recombined-path coherence by V^2.  One unbatched call of
-    ``_walk_density``.
+    recombined-path coherence by V^2.  A visibility for a pair that is not an
+    interferometer of the schedule is ignored.  One unbatched call of ``_walk_density``.
     """
-    if config is None:
-        config = IDEAL
     t = schedule.n_steps
-    damping = _damping(schedule._structure[1], config.visibilities)
+    damping = _damping(schedule._structure[1], _config(config).visibilities)
     p = _walk_density(t, schedule.steps, coin_column(coin_vector), damping)
     return {2 * k - t: q for k, q in enumerate(p.tolist())}
 
@@ -255,10 +257,9 @@ def _check_finite(ports, probs: np.ndarray) -> None:
 def _reweighted(ports, probs: np.ndarray, efficiencies: dict) -> np.ndarray:
     """``apply_efficiencies`` over the trailing port axis of ``probs``."""
     _check_finite(ports, probs)
-    for port, eta in efficiencies.items():
-        if not 0.0 < eta <= 1.0:
-            raise ValidationError(f"efficiency for port {port} must lie in (0, 1]")
-    weighted = probs * np.array([efficiencies.get(p, 1.0) for p in ports], dtype=float)
+    etas = {port: _real(eta, f"efficiency for port {port}", 0.0, 1.0, open_low=True)
+            for port, eta in efficiencies.items()}
+    weighted = probs * np.array([etas.get(p, 1.0) for p in ports], dtype=float)
     total = weighted.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise ValidationError("all probability removed by efficiencies")
@@ -274,10 +275,8 @@ def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:
 
 def _check_draw(total, seed) -> None:
     """A photon count is an integer >= 1 and a seed an integer >= 0."""
-    if not isinstance(total, (int, np.integer)) or total < 1:
-        raise ValidationError(f"total count must be an integer >= 1, not {total!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, not {seed!r}")
+    _integer(total, "total count", 1)
+    _integer(seed, "seed", 0)
 
 
 def _sampling_weights(ports, probs: np.ndarray) -> np.ndarray:
@@ -325,10 +324,10 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     """Conclusive-outcome probability across state separations.
 
     Negative angles mirror the positive ones (the success probability is
-    even in theta) and probe the second input state, whose conclusive
-    port is x = 0 instead of x = 2.  A magnitude up to ``DEFAULT.norm``
-    above pi/2 is taken as pi/2.  Each angle gets an independent sub-stream
-    of the seeded generator.
+    even in theta) and probe the second input state, whose conclusive port
+    is x = 0 instead of x = 2.  Magnitudes pass ``povm._usd_angle``; every
+    angle it admits gives a unitary peel, so the peel stack is not checked
+    again.  Each angle gets an independent sub-stream of the seeded generator.
 
     All angles walk in one batched ``_walk_density`` call.  Their circuits
     differ only in the peel coin at position 1 of step 2, and a peel's
@@ -338,19 +337,12 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     of every angle that shares it.
     """
     _check_draw(total, seed)
-    thetas = list(theta_values)
-    for th in thetas:
-        if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:
-            raise ValidationError("sweep angles must have magnitude in (0, pi/2]")
+    config = _config(config)
+    thetas = [_real(th, "sweep angle") for th in theta_values]
+    mags = np.array([_usd_angle(abs(th), "sweep angle magnitude") for th in thetas])
     if not thetas:
         return []
-    if config is None:
-        config = IDEAL
-    signed = np.array(thetas, dtype=float)
-    mags = np.minimum(np.abs(signed), np.pi / 2.0)
     peels = _usd_peel(mags)
-    if not _is_unitary(peels).all():
-        raise ValidationError("coin operation at position 1 in step 2 is not a 2x2 unitary")
 
     tol = DEFAULT.norm
     q, t = peels[:, 0, 0], peels[:, 0, 1]
@@ -360,7 +352,7 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
         groups.setdefault(key, []).append(i)
     damping = {}
     for members in groups.values():
-        schedule = build_circuit(usd_scenario(float(mags[members[0]])))
+        schedule = build_circuit(usd_scenario(mags[members[0]]))
         for s, v in _damping(schedule._structure[1], config.visibilities).items():
             damping.setdefault(s, np.ones((len(thetas), 1)))[members] = v
     # the representatives differ from each other only in the peel
@@ -369,7 +361,7 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
 
     n = schedule.n_steps
     ports = [2 * k - n for k in range(n + 1)]
-    probs = _walk_density(n, steps, _usd_columns(np.sign(signed), mags), damping)
+    probs = _walk_density(n, steps, _usd_columns(np.sign(thetas), mags), damping)
     weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))
 
     children = np.random.SeedSequence(seed).spawn(len(thetas))
@@ -378,5 +370,5 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
         draws = np.random.default_rng(int(child.generate_state(1)[0])).multinomial(total, w)
         p_hats.append(int(draws[ports.index(2 if th > 0 else 0)]) / total)
     errs = _std_error(np.array(p_hats), total).tolist()
-    return [SweepPoint(th, usd_success_probability(abs(th)), p_hat, err)
-            for th, p_hat, err in zip(thetas, p_hats, errs)]
+    return [SweepPoint(th, usd_success_probability(mag), p_hat, err)
+            for th, mag, p_hat, err in zip(thetas, mags.tolist(), p_hats, errs)]

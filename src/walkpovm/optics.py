@@ -36,8 +36,9 @@ from functools import reduce
 
 import numpy as np
 
+from .povm import _usd_angle
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _norm, validate_coin
+from .walk import CoinSchedule, ValidationError, _norm, _real, coin_column, validate_coin
 
 
 def hwp(angle_deg) -> np.ndarray:
@@ -85,7 +86,7 @@ class WavePlate:
         if self.kind not in ("HWP", "QWP"):
             raise ValidationError(f"unknown plate kind {self.kind!r}")
         # twice, because -tiny % 180 rounds to 180 itself
-        object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0 % 180.0)
+        object.__setattr__(self, "angle_deg", _real(self.angle_deg, "plate angle") % 180.0 % 180.0)
 
     @property
     def angle_dms(self) -> str:
@@ -218,11 +219,9 @@ def decompose(u) -> list:
 def usd_plate_angle(theta: float) -> float:
     """Half-wave angle implementing the discrimination circuit's peel coin.
 
-    Equals arcsin(tan(theta/2)) / 2 in degrees; valid for 0 < theta <= pi/2.
+    Equals arcsin(tan(theta/2)) / 2 in degrees, for theta under ``povm._usd_angle``.
     """
-    if not 0.0 < theta <= math.pi / 2.0 + DEFAULT.norm:
-        raise ValidationError("theta must lie in (0, pi/2]")
-    return math.degrees(0.5 * math.asin(min(1.0, math.tan(theta / 2.0))))
+    return math.degrees(0.5 * math.asin(min(1.0, math.tan(_usd_angle(theta) / 2.0))))
 
 
 def interferometers(schedule: CoinSchedule) -> list:
@@ -260,11 +259,8 @@ def state_prep_angles(target, include_qwp: bool | None = None):
     the plate rotated by 90 degrees (and the half-wave plate moved
     accordingly) prepares the same state.
     """
-    v = np.asarray(target, dtype=complex).reshape(2)
-    nrm = _norm(v)
-    if not abs(nrm - 1.0) <= DEFAULT.input_norm:
-        raise ValidationError("target state must be normalised")
-    v = v / nrm
+    v = coin_column(target)
+    v = v / _norm(v)
     s1 = abs(v[0]) ** 2 - abs(v[1]) ** 2
     s2 = 2.0 * (np.conj(v[0]) * v[1]).real
     s3 = 2.0 * (np.conj(v[0]) * v[1]).imag

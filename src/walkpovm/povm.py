@@ -36,7 +36,9 @@ from .walk import (
     NOT_COIN,
     CoinSchedule,
     ValidationError,
+    _integer,
     _propagate,
+    _real,
     complex_from_json,
     complex_to_json,
     decoding,
@@ -85,7 +87,7 @@ class PovmElement:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "port", int(port))
+        object.__setattr__(self, "port", _integer(port, f"element {label}: port"))
 
 
 @dataclass(frozen=True)
@@ -264,9 +266,9 @@ NAMED_STATES = MappingProxyType({name: _frozen(v) for name, v in {
 
 def usd_state(sign: int, theta: float) -> np.ndarray:
     """The pair of non-orthogonal states cos(t/2)|H> +/- sin(t/2)|V>."""
-    if sign not in (+1, -1):
+    if _integer(sign, "sign") not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    return _usd_columns(sign, theta)
+    return _usd_columns(sign, _real(theta, "theta"))
 
 
 def _usd_columns(sign, theta) -> np.ndarray:
@@ -304,15 +306,18 @@ def usd_scenario(theta: float) -> list:
     """Discrimination circuit for the state pair at separation angle theta.
 
     Requires 0 < theta <= pi/2 so that tan(theta/2) <= 1 and the matrix
-    square root stays real; an angle up to ``DEFAULT.norm`` above pi/2 is
-    taken as pi/2.
+    square root stays real (``_usd_angle``).
     """
-    if not 0.0 < theta <= np.pi / 2.0 + DEFAULT.norm:
-        raise ValidationError("theta must lie in (0, pi/2]")
     return [
-        IterationPair(IDENTITY_COIN, _usd_peel(min(theta, np.pi / 2.0))),
+        IterationPair(IDENTITY_COIN, _usd_peel(_usd_angle(theta))),
         IterationPair(HADAMARD_LIKE, IDENTITY_COIN),
     ]
+
+
+def _usd_angle(theta, what: str = "theta", *, zero: bool = False) -> float:
+    """The USD angle rule: ``theta`` as a float in (0, pi/2], or [0, pi/2] with ``zero``;
+    an angle up to ``DEFAULT.norm`` above pi/2 is taken as pi/2."""
+    return min(_real(theta, what, 0.0, np.pi / 2.0 + DEFAULT.norm, open_low=not zero), np.pi / 2.0)
 
 
 def _usd_peel(theta) -> np.ndarray:
@@ -331,11 +336,9 @@ def _usd_peel(theta) -> np.ndarray:
 def usd_success_probability(theta: float) -> float:
     """Probability of a conclusive outcome: 2 sin^2(theta/2) = 1 - cos(theta).
 
-    An angle up to ``DEFAULT.norm`` above pi/2 is taken as pi/2.
+    ``theta`` lies in [0, pi/2] (``_usd_angle``).
     """
-    if not 0.0 <= theta <= np.pi / 2.0 + DEFAULT.norm:
-        raise ValidationError("theta must lie in [0, pi/2]")
-    return float(1.0 - np.cos(min(theta, np.pi / 2.0)))
+    return float(1.0 - np.cos(_usd_angle(theta, zero=True)))
 
 
 _SCENARIOS = {"trine": trine_scenario, "sic": sic_scenario, "usd": usd_scenario}
@@ -345,11 +348,7 @@ def scenario_schedule(name: str, theta: float = None) -> CoinSchedule:
     """Schedule for a named scenario; ``theta`` is required for "usd"."""
     if name not in _SCENARIOS:
         raise ValidationError(f"unknown scenario {name!r}")
-    if name == "usd":
-        if theta is None:
-            raise ValidationError("usd scenario requires theta")
-        return build_circuit(usd_scenario(theta))
-    return build_circuit(_SCENARIOS[name]())
+    return build_circuit(usd_scenario(theta) if name == "usd" else _SCENARIOS[name]())
 
 
 def scenario_port_map(name: str, theta: float = None) -> dict:

@@ -8,9 +8,11 @@ values, so states can be shared freely between threads.
 
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
-data.  A ``CoinSchedule`` checks its coins once, when built, and finds its
-ports and interferometers once, on first use.  Complex values cross JSON
-as ``{"re", "im"}`` cells only.
+data.  Each input rule is written once, here: ``_integer`` (an int or numpy
+integer, never a bool), ``_real`` (a finite real in a range) and ``validate_coin``,
+the one unitarity test.  A ``CoinSchedule`` checks its positions and coins once,
+when built, and finds its ports and interferometers once, on first use.  Complex
+values cross JSON as ``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations
@@ -34,6 +36,33 @@ NOT_COIN = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 class ValidationError(ValueError):
     """An input violated a documented precondition."""
+
+
+class _RuleError(ValidationError):
+    """A value broke ``_integer`` or ``_real``; in a file, ``decoding`` calls the file malformed."""
+
+
+def _integer(value, what: str, low: float = -math.inf) -> int:
+    """``value`` as an int: an int or numpy integer, never a bool, and >= ``low``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    at_least = "" if low == -math.inf else f" >= {low}"
+    raise _RuleError(f"{what} must be an integer{at_least}, not {value!r}")
+
+
+def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> float:
+    """``value`` as a float: a finite int, float or numpy real, never a bool or str,
+    in [low, high], or in (low, high] with ``open_low``."""
+    if isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond every float is not finite either
+            v = math.inf
+        if math.isfinite(v) and (low < v if open_low else low <= v) and v <= high:
+            return v
+    within = "" if (low, high) == (-math.inf, math.inf) else (
+        f" in {'(' if open_low else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}")
+    raise _RuleError(f"{what} must be a finite number{within}, not {value!r}")
 
 
 def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
@@ -60,19 +89,6 @@ def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     if step is not None:
         where += f" in step {step}"
     raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
-
-
-def _is_unitary(ms: np.ndarray) -> np.ndarray:
-    """``validate_coin``'s test over a (..., 2, 2) stack: True where a coin passes.
-
-    Every comparison is ``<=``, so a NaN or infinite entry reads False.
-    """
-    a, b, c, d = ms[..., 0, 0], ms[..., 0, 1], ms[..., 1, 0], ms[..., 1, 1]
-    col0 = np.hypot(abs(a), abs(c))
-    col1 = np.hypot(abs(b), abs(d))
-    return ((abs(col0 * col0 - 1.0) <= DEFAULT.unitarity)
-            & (abs(col1 * col1 - 1.0) <= DEFAULT.unitarity)
-            & (abs(a.conj() * b + c.conj() * d) <= DEFAULT.unitarity))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -113,6 +129,8 @@ def decoding(what: str):
     """Report any failure to decode ``what`` from JSON as a ValidationError."""
     try:
         yield
+    except _RuleError as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
     except ValidationError:
         raise
     except (ValueError, KeyError, TypeError, IndexError, AttributeError, RecursionError) as exc:
@@ -146,7 +164,8 @@ class CoinSchedule:
 
     def __init__(self, steps):
         object.__setattr__(self, "steps", tuple(
-            {int(x): validate_coin(m, position=x, step=s) for x, m in coins.items()}
+            {_integer(x, f"coin position in step {s}"): validate_coin(m, position=x, step=s)
+             for x, m in coins.items()}
             for s, coins in enumerate(steps, start=1)
         ))
 
@@ -195,7 +214,7 @@ class CoinSchedule:
     def from_json(cls, text: str) -> "CoinSchedule":
         with decoding("schedule file"):
             return cls([
-                {int(e["position"]): complex_from_json(e["matrix"]) for e in raw["coins"]}
+                {e["position"]: complex_from_json(e["matrix"]) for e in raw["coins"]}
                 for raw in json.loads(text)["steps"]
             ])
 

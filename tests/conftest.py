@@ -1,6 +1,15 @@
 import numpy as np
 
+from walkpovm import cli
 from walkpovm.experiment import _FOLD_FLOOR
+
+
+def cli_options() -> dict:
+    """Subcommand -> sorted option strings its parser declares, leaving out -h/--help."""
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    return {name: sorted(o for action in p._actions for o in action.option_strings
+                         if o not in ("-h", "--help"))
+            for name, p in subcommands.items()}
 
 
 def random_unitary(rng) -> np.ndarray:

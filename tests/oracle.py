@@ -39,9 +39,9 @@ import math
 import numpy as np
 
 from walkpovm.experiment import (
-    IDEAL,
     SweepPoint,
     _check_draw,
+    _config,
     apply_efficiencies,
     run_density as package_run_density,
     sample_counts,
@@ -50,6 +50,7 @@ from walkpovm.optics import WavePlate, _phase_aligned_dist, _so3, plates_matrix,
 from walkpovm.povm import (
     PovmElement,
     PovmSet,
+    _usd_angle,
     build_circuit,
     usd_scenario,
     usd_state,
@@ -203,8 +204,7 @@ def run_density(schedule, coin_vector, config=None) -> dict:
     interferometer displacer they traverse, so a closed pair damps the
     recombined-path coherence by V^2.
     """
-    if config is None:
-        config = IDEAL
+    config = _config(config)
     steps = schedule.steps
     t_max = max(1, len(steps))
     n_pos = 2 * t_max + 1
@@ -284,8 +284,7 @@ def walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
 
 def run_density_eager(schedule, coin_vector, config=None) -> dict:
     """``run_density`` on the eager frame engine ``walk_density``."""
-    if config is None:
-        config = IDEAL
+    config = _config(config)
     t = schedule.n_steps
     damping = {s: v for s, v in _damping(schedule, config).items() if v != 1.0}
     p = walk_density(t, schedule.steps, coin_column(coin_vector), damping)
@@ -295,16 +294,12 @@ def run_density_eager(schedule, coin_vector, config=None) -> dict:
 def usd_sweep(theta_values, config=None, total: int = 40000, seed: int = 0) -> list:
     """Conclusive-outcome probability across state separations, one angle at a time."""
     _check_draw(total, seed)
+    config = _config(config)
     thetas = list(theta_values)
-    for th in thetas:
-        if not 0.0 < abs(th) <= np.pi / 2.0 + DEFAULT.norm:
-            raise ValidationError("sweep angles must have magnitude in (0, pi/2]")
-    if config is None:
-        config = IDEAL
+    mags = [_usd_angle(abs(th)) for th in thetas]
     children = np.random.SeedSequence(seed).spawn(len(thetas))
     rows = []
-    for th, child in zip(thetas, children):
-        mag = min(abs(th), np.pi / 2.0)
+    for th, mag, child in zip(thetas, mags, children):
         schedule = build_circuit(usd_scenario(mag))
         state = usd_state(+1 if th > 0 else -1, mag)
         success_port = 2 if th > 0 else 0

@@ -1,0 +1,189 @@
+"""One fixed catalogue of hostile values, applied to every scalar input slot.
+
+Each slot is an integer (a coin position, a port, a displacer, a sign), a
+bounded real (a visibility, an efficiency, a budget, a plate angle, a USD
+angle) or a config.  For every hostile value a slot either raises
+``ValidationError``, or accepts it, and then ``from_json(to_json(x))``
+equals x wherever x has a JSON form.  Each slot also names the values it
+accepts, so a rule that starts taking a bool or truncating a float fails
+here.  The CLI gets the same values as option text: exit 0, or exit 1
+with ``error:``.
+
+Photon counts and seeds sit in ``test_experiment.py``'s ``_check_draw`` and
+``CountTable`` tables, and non-finite matrix and vector entries in
+``test_walk.py``'s ``_BOUNDARIES``.  Records that take no input rule
+(``WalkState``, ``IterationPair``, ``SweepPoint``, ``OpticalNetlist``) are
+not slots.
+"""
+
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from conftest import cli_options
+from walkpovm import cli
+from walkpovm.experiment import (
+    ImperfectionConfig,
+    apply_efficiencies,
+    run_density,
+    usd_sweep,
+)
+from walkpovm.optics import WavePlate, usd_plate_angle
+from walkpovm.povm import (
+    PovmElement,
+    PovmSet,
+    scenario_schedule,
+    usd_scenario,
+    usd_state,
+    usd_success_probability,
+)
+from walkpovm.walk import IDENTITY_COIN, CoinSchedule, ValidationError
+
+HOSTILE = {
+    "true": True,
+    "false": False,
+    "half": 0.5,
+    "float-one": 1.0,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "1e308": 1e308,
+    "numpy-int": np.int64(2),
+    "numpy-float": np.float64(0.5),
+    "numpy-bool": np.bool_(True),
+    "str": "1",
+    "none": None,
+}
+
+# the hostile values each rule takes
+INTEGER = {"numpy-int"}
+UNIT = {"half", "float-one", "numpy-float"}  # [0, 1] and (0, 1]
+FINITE = {"half", "float-one", "1e308", "numpy-int", "numpy-float"}
+USD_ANGLE = {"half", "float-one", "numpy-float"}  # (0, pi/2]
+
+_PROJECTOR = np.diag([1.0, 0.0])
+_SIC = scenario_schedule("sic")
+
+
+def _dumps(value):
+    """``value`` as JSON text; numpy scalars as the Python values they hold."""
+    return json.dumps(value, default=lambda v: v.item())
+
+
+def _schedule_file(value):
+    return CoinSchedule.from_json(CoinSchedule([{0: IDENTITY_COIN}]).to_json().replace(
+        '"position": 0', f'"position": {_dumps(value)}'))
+
+
+def _povm_file(value):
+    text = PovmSet.build([PovmElement(_PROJECTOR, "e", 0)]).to_json()
+    return PovmSet.from_json(text.replace('"port": 0', f'"port": {_dumps(value)}'))
+
+
+def _config_file(key, value):
+    data = {"visibilities": {"1-2": 0.9}, "port_efficiencies": {"0": 1.0}, "imbalance_budget": 0.1}
+    return ImperfectionConfig.from_json(_dumps({**data, key: value}))
+
+
+def _schedule_round_trip(x):
+    return CoinSchedule.from_json(x.to_json()).to_json() == x.to_json()
+
+
+def _povm_round_trip(x):
+    x = x if isinstance(x, PovmSet) else PovmSet.build([x])
+    back = PovmSet.from_json(x.to_json())
+    return [(e.port, e.label) for e in back.elements] == [(e.port, e.label) for e in x.elements]
+
+
+def _config_round_trip(x):
+    return ImperfectionConfig.from_json(x.to_json()) == x
+
+
+# slot -> (call with the hostile value, the values it accepts, round trip or None)
+SLOTS = {
+    "CoinSchedule position": (lambda v: CoinSchedule([{v: IDENTITY_COIN}]),
+                              INTEGER, _schedule_round_trip),
+    "CoinSchedule.from_json position": (_schedule_file, INTEGER, _schedule_round_trip),
+    "PovmElement port": (lambda v: PovmElement(_PROJECTOR, "e", v), INTEGER, _povm_round_trip),
+    "PovmSet.from_json port": (_povm_file, INTEGER, _povm_round_trip),
+    "ImperfectionConfig visibility pair": (
+        lambda v: ImperfectionConfig(visibilities={(v, 2): 0.5}), INTEGER, _config_round_trip),
+    "ImperfectionConfig visibility": (
+        lambda v: ImperfectionConfig(visibilities={(1, 2): v}), UNIT, _config_round_trip),
+    "ImperfectionConfig efficiency port": (
+        lambda v: ImperfectionConfig(port_efficiencies={v: 1.0}), INTEGER, _config_round_trip),
+    "ImperfectionConfig efficiency": (
+        lambda v: ImperfectionConfig(port_efficiencies={0: v}), UNIT, _config_round_trip),
+    "ImperfectionConfig imbalance_budget": (
+        lambda v: ImperfectionConfig(imbalance_budget=v), FINITE, _config_round_trip),
+    # JSON object keys are text, so the str "1" is a port there
+    "ImperfectionConfig.from_json visibility pair": (
+        lambda v: _config_file("visibilities", {f"{v}-2": 0.5}), INTEGER | {"str"},
+        _config_round_trip),
+    "ImperfectionConfig.from_json visibility": (
+        lambda v: _config_file("visibilities", {"1-2": v}), UNIT, _config_round_trip),
+    "ImperfectionConfig.from_json efficiency port": (
+        lambda v: _config_file("port_efficiencies", {f"{v}": 1.0}), INTEGER | {"str"},
+        _config_round_trip),
+    "ImperfectionConfig.from_json efficiency": (
+        lambda v: _config_file("port_efficiencies", {"0": v}), UNIT, _config_round_trip),
+    "ImperfectionConfig.from_json imbalance_budget": (
+        lambda v: _config_file("imbalance_budget", v), FINITE, _config_round_trip),
+    "apply_efficiencies efficiency": (
+        lambda v: apply_efficiencies({0: 0.5, 2: 0.5}, {0: v}), UNIT, None),
+    "WavePlate angle": (lambda v: WavePlate("HWP", v), FINITE, None),
+    "usd_scenario theta": (usd_scenario, USD_ANGLE, None),
+    "scenario_schedule theta": (lambda v: scenario_schedule("usd", v), USD_ANGLE,
+                                _schedule_round_trip),
+    "usd_success_probability theta": (usd_success_probability, USD_ANGLE, None),
+    "usd_plate_angle theta": (usd_plate_angle, USD_ANGLE, None),
+    "usd_sweep angle": (lambda v: usd_sweep([v], total=10), USD_ANGLE, None),
+    "usd_state sign": (lambda v: usd_state(v, 0.5), set(), None),
+    "usd_state theta": (lambda v: usd_state(1, v), FINITE, None),
+    "run_density config": (lambda v: run_density(_SIC, [1.0, 0.0], v), {"none"}, None),
+    "usd_sweep config": (lambda v: usd_sweep([0.5], v, total=10), {"none"}, None),
+}
+
+
+@pytest.mark.parametrize("value", sorted(HOSTILE))
+@pytest.mark.parametrize("slot", sorted(SLOTS))
+def test_hostile_value_is_rejected_or_round_trips(slot, value):
+    call, accepted, round_trip = SLOTS[slot]
+    try:
+        x = call(HOSTILE[value])
+    except ValidationError:
+        assert value not in accepted, f"{slot} rejects {value}"
+        return
+    assert value in accepted, f"{slot} accepts {value}"
+    if round_trip is not None:
+        assert round_trip(x)
+
+
+# subcommand -> a call that exits 0; every option the subcommand declares gets each value
+_CLI = {
+    "run": ["run", "--scenario", "usd", "--theta", "0.5", "--input", "psi+", "--counts", "100"],
+    "sample": ["sample", "--scenario", "trine", "--input", "H", "--counts", "100"],
+    "extract": ["extract", "--scenario", "sic"],
+    "compile": ["compile", "--scenario", "trine"],
+    "sweep": ["sweep", "--thetas", "0.5", "--counts", "100"],
+}
+_CLI_CASES = [(cmd, option) for cmd, options in cli_options().items() for option in options]
+
+
+@pytest.mark.parametrize("cmd, option", _CLI_CASES, ids=[f"{c}{o}" for c, o in _CLI_CASES])
+def test_hostile_option_text_exits_0_or_1(cmd, option, tmp_path, monkeypatch):
+    # --output and --file take any text as a path; run where that path is harmless
+    monkeypatch.chdir(tmp_path)
+    argv = _CLI[cmd]
+    for value in HOSTILE.values():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([*argv, f"{option}={value}"])
+        assert code in (0, 1), (option, value, code)
+        if code == 1:
+            assert err.getvalue().startswith("error:"), (option, value)
+            assert out.getvalue() == ""

@@ -146,6 +146,15 @@ def test_visibility_key_must_be_a_displacer_pair(key):
         ImperfectionConfig(visibilities={key: 0.5})
 
 
+def test_visibility_of_a_pair_that_is_not_an_interferometer_is_ignored():
+    # a config may name pairs a schedule lacks (one file serves several scenarios), so the
+    # SIC schedule, whose interferometers are (1, 2) and (3, 4), ignores (7, 8)
+    schedule = scenario_schedule("sic")
+    cfg = ImperfectionConfig(visibilities={(7, 8): 0.0})
+    for state in NAMED_STATES.values():
+        assert run_density(schedule, state, cfg) == run_density(schedule, state)
+
+
 def test_visibility_key_may_hold_numpy_integers():
     cfg = ImperfectionConfig(visibilities={(np.int64(1), np.int64(2)): 0.5})
     assert ImperfectionConfig.from_json(cfg.to_json()) == ImperfectionConfig(
@@ -248,7 +257,11 @@ def test_sample_counts_invariants():
     ({0: True, 2: 1}, 0),
     ({0: 3, 2: np.float64(1.0)}, 2),
     ({0: 3, 2: "1"}, 2),
-], ids=["negative", "fraction", "integral-float", "bool", "numpy-float", "str"])
+    ({0: 3, 2: None}, 2),
+    ({0: 3, 2: float("nan")}, 2),
+    ({0: np.bool_(True), 2: 1}, 0),
+], ids=["negative", "fraction", "integral-float", "bool", "numpy-float", "str",
+        "none", "nan", "numpy-bool"])
 def test_count_table_takes_only_integer_counts_at_least_zero(counts, port):
     # a negative count reached sqrt as a RuntimeWarning, and {0: 2.5, 2: 1}
     # gave probabilities summing to 1.17
@@ -288,10 +301,20 @@ def test_sample_counts_rejects_bad_input():
     (lambda: sample_counts({0: 0.5, 2: 0.5}, 10.5, seed=1), "total count"),
     (lambda: usd_sweep([0.7], total=100, seed=-1), "seed"),
     (lambda: usd_sweep([0.7], total=100.5, seed=0), "total count"),
+    (lambda: sample_counts({0: 1.0}, True, seed=0), "total count"),
+    (lambda: sample_counts({0: 1.0}, 10, seed=False), "seed"),
+    (lambda: sample_counts({0: 1.0}, np.float64(10.0), seed=0), "total count"),
+    (lambda: sample_counts({0: 1.0}, None, seed=0), "total count"),
+    (lambda: sample_counts({0: 1.0}, 10, seed="1"), "seed"),
+    (lambda: usd_sweep([0.7], total=True), "total count"),
+    (lambda: usd_sweep([0.7], total=100, seed=np.bool_(False)), "seed"),
 ], ids=["sample-seed-negative", "sample-seed-fractional", "sample-total-fractional",
-        "sweep-seed-negative", "sweep-total-fractional"])
+        "sweep-seed-negative", "sweep-total-fractional", "sample-total-bool", "sample-seed-bool",
+        "sample-total-numpy-float", "sample-total-none", "sample-seed-str", "sweep-total-bool",
+        "sweep-seed-numpy-bool"])
 def test_draws_reject_a_seed_or_photon_count_that_is_not_an_integer_in_range(call, message):
-    # numpy would raise a plain ValueError for a negative seed and truncate 10.5 photons to 10
+    # numpy would raise a plain ValueError for a negative seed and truncate 10.5 photons to 10;
+    # True photons used to draw one photon
     with pytest.raises(ValidationError, match=message):
         call()
 

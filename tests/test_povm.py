@@ -12,6 +12,8 @@ from walkpovm.povm import (
     PovmElement,
     PovmSet,
     SynthesisInfeasibleError,
+    _usd_angle,
+    _usd_peel,
     build_circuit,
     extract_povm,
     scenario_port_map,
@@ -23,7 +25,8 @@ from walkpovm.povm import (
     usd_state,
     usd_success_probability,
 )
-from walkpovm.walk import NOT_COIN, CoinSchedule, ValidationError
+from walkpovm.tolerances import DEFAULT
+from walkpovm.walk import NOT_COIN, CoinSchedule, ValidationError, validate_coin
 
 I2 = np.eye(2, dtype=complex)
 
@@ -253,6 +256,15 @@ def test_usd_exclusive_zero_ports():
         minus = walk.position_distribution(walk.run(schedule, usd_state(-1, theta)))
         assert plus.get(0, 0.0) < 1e-24
         assert minus.get(2, 0.0) < 1e-24
+
+
+def test_validate_coin_accepts_every_peel_the_usd_angle_rule_admits():
+    # usd_sweep stacks these peels without checking them again: q^2 + t^2 = 1 up to rounding
+    # wherever tan(theta/2) <= 1, and the cross term q t - t q is exactly 0
+    thetas = [*np.linspace(1e-6, np.pi / 2, 2001).tolist(), 1e-13, np.pi / 2,
+              np.pi / 2 + DEFAULT.norm]
+    for peel in _usd_peel(np.array([_usd_angle(th) for th in thetas])):
+        validate_coin(peel)
 
 
 def test_usd_success_probability_values():

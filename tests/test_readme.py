@@ -7,6 +7,7 @@ import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from conftest import cli_options
 from walkpovm import cli
 from walkpovm.povm import scenario_schedule
 
@@ -36,3 +37,15 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch):
     for line in lines:
         with redirect_stdout(io.StringIO()):
             assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_option_table_matches_the_parser():
+    # one row per group of subcommands: | `run`, `sample` | `--scenario`, ... |
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| command | options |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        commands, options = line.strip("|").split("|")
+        for cmd in re.findall(r"`([a-z]+)`", commands):
+            rows[cmd] = sorted(re.findall(r"`(--[a-z]+)`", options))
+    assert rows == cli_options()
