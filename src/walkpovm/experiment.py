@@ -14,7 +14,7 @@ and fold scale into A.  With all visibilities at 1 it reproduces the
 ideal pure-state probabilities exactly.  It has a leading batch axis:
 ``run_density`` calls it for one walk, and ``usd_sweep`` for all of a
 sweep's angles at once, stacking the one coin in which their circuits
-differ.
+differ; ``walk._reach`` over those steps gives each angle's interferometers.
 
 ``sample_counts`` adds multinomial shot noise with a seeded, portable
 generator, and ``apply_efficiencies`` models per-port detector
@@ -35,7 +35,8 @@ import numpy as np
 from .povm import (_usd_angle, _usd_columns, _usd_peel, build_circuit, usd_scenario,
                    usd_success_probability)
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _coin_rows, _integer, _real, coin_column, decoding
+from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _reach, _real, coin_column,
+                   decoding)
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,21 @@ class CountTable:
 _FOLD_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-def _damping(pairs, visibilities: dict) -> dict:
-    """Step -> V for the displacers of ``pairs``, holding only the steps with V != 1.
+def _damping(interferometers: dict, visibilities: dict) -> dict:
+    """Step -> V for the displacers of ``walk._reach``'s interferometers, only where V != 1.
 
-    Each interferometer damps coherences by its V at both of its displacers.
+    Each interferometer damps coherences by its V at both of its displacers.  A
+    (B,) walks mask makes V (B, 1), and 1 in the walks the pair does not mix.
     """
     damping = {}
-    for pair in pairs:
+    for pair, walks in interferometers.items():
         v = visibilities.get(pair, 1.0)
-        for member in pair:
-            damping[member] = damping.get(member, 1.0) * v
-    return {s: v for s, v in damping.items() if v != 1.0}
+        if v != 1.0:  # V <= 1, so a product of factors below 1 stays below 1
+            if walks is not True:
+                v = np.where(walks, v, 1.0)[:, None]
+            for member in pair:
+                damping[member] = damping.get(member, 1.0) * v
+    return damping
 
 
 def _walk_density(t: int, steps, psi: np.ndarray, damping: dict) -> np.ndarray:
@@ -274,8 +279,9 @@ def apply_efficiencies(dist: dict, efficiencies: dict) -> dict:
 
 
 def _check_draw(total, seed) -> None:
-    """A photon count is an integer >= 1 and a seed an integer >= 0."""
-    _integer(total, "total count", 1)
+    """A photon count is an integer in [1, 2^63 - 1], the most numpy's draw takes, and a
+    seed an integer >= 0."""
+    _integer(total, "total count", 1, np.iinfo(np.int64).max)
     _integer(seed, "seed", 0)
 
 
@@ -327,14 +333,8 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     even in theta) and probe the second input state, whose conclusive port
     is x = 0 instead of x = 2.  Magnitudes pass ``povm._usd_angle``; every
     angle it admits gives a unitary peel, so the peel stack is not checked
-    again.  Each angle gets an independent sub-stream of the seeded generator.
-
-    All angles walk in one batched ``_walk_density`` call.  Their circuits
-    differ only in the peel coin at position 1 of step 2, and a peel's
-    interferometers depend only on which of q, t and q*t exceed
-    ``DEFAULT.norm`` (all that ``CoinSchedule._structure`` reads of it), so
-    one checked schedule per such pattern supplies the layout and damping
-    of every angle that shares it.
+    again.  All angles walk in one batched ``_walk_density`` call, and each
+    gets an independent sub-stream of the seeded generator.
     """
     _check_draw(total, seed)
     config = _config(config)
@@ -342,24 +342,12 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     mags = np.array([_usd_angle(abs(th), "sweep angle magnitude") for th in thetas])
     if not thetas:
         return []
-    peels = _usd_peel(mags)
-
-    tol = DEFAULT.norm
-    q, t = peels[:, 0, 0], peels[:, 0, 1]
-    patterns = zip((abs(q) > tol).tolist(), (abs(t) > tol).tolist(), (abs(q * t) > tol).tolist())
-    groups = {}
-    for i, key in enumerate(patterns):
-        groups.setdefault(key, []).append(i)
-    damping = {}
-    for members in groups.values():
-        schedule = build_circuit(usd_scenario(mags[members[0]]))
-        for s, v in _damping(schedule._structure[1], config.visibilities).items():
-            damping.setdefault(s, np.ones((len(thetas), 1)))[members] = v
-    # the representatives differ from each other only in the peel
+    # the angles' circuits differ only in the peel coin at position 1 of step 2
+    schedule = build_circuit(usd_scenario(mags[0]))
     steps = [dict(coins) for coins in schedule.steps]
-    steps[1][1] = peels
-
+    steps[1][1] = _usd_peel(mags)
     n = schedule.n_steps
+    damping = _damping(_reach(n, steps)[1], config.visibilities)
     ports = [2 * k - n for k in range(n + 1)]
     probs = _walk_density(n, steps, _usd_columns(np.sign(thetas), mags), damping)
     weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .povm import _usd_angle
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _norm, _real, coin_column, validate_coin
+from .walk import CoinSchedule, ValidationError, _integer, _norm, _real, coin_column, validate_coin
 
 
 def hwp(angle_deg) -> np.ndarray:
@@ -73,8 +73,8 @@ def format_dms(angle_deg: float) -> str:
 class WavePlate:
     """One wave plate: kind, fast-axis angle, and its slot in the network.
 
-    ``position``/``step`` are filled in by the netlist compiler; bare
-    ``decompose`` results leave them at 0.
+    ``position`` (an integer) and ``step`` (an integer >= 0) are filled in
+    by the netlist compiler; bare ``decompose`` results leave them at 0.
     """
 
     kind: str
@@ -82,11 +82,13 @@ class WavePlate:
     position: int = 0
     step: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("HWP", "QWP"):
-            raise ValidationError(f"unknown plate kind {self.kind!r}")
-        # twice, because -tiny % 180 rounds to 180 itself
-        object.__setattr__(self, "angle_deg", _real(self.angle_deg, "plate angle") % 180.0 % 180.0)
+    def __init__(self, kind: str, angle_deg: float, position: int = 0, step: int = 0):
+        if kind not in ("HWP", "QWP"):
+            raise ValidationError(f"unknown plate kind {kind!r}")
+        # each field is set once; the angle mod 180 twice, because -tiny % 180 rounds to 180 itself
+        self.__dict__.update(kind=kind, angle_deg=_real(angle_deg, "plate angle") % 180.0 % 180.0,
+                             position=_integer(position, "plate position"),
+                             step=_integer(step, "plate step", 0))
 
     @property
     def angle_dms(self) -> str:
@@ -244,7 +246,8 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
     slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
     us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)
     plates = tuple(p for group in _lower(us, slots) for p in group)
-    return OpticalNetlist(schedule.n_steps, plates, *schedule._structure)
+    ports, pairs = schedule._structure
+    return OpticalNetlist(schedule.n_steps, plates, ports, tuple(pairs))
 
 
 def state_prep_angles(target, include_qwp: bool | None = None):

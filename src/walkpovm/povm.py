@@ -36,6 +36,7 @@ from .walk import (
     NOT_COIN,
     CoinSchedule,
     ValidationError,
+    _complex,
     _integer,
     _propagate,
     _real,
@@ -71,7 +72,7 @@ class PovmElement:
     port: int
 
     def __init__(self, matrix, label: str, port: int):
-        m = np.asarray(matrix, dtype=complex)
+        m = _complex(matrix, f"element {label}: matrix")
         if m.shape != (2, 2):
             raise ValidationError(f"element {label}: matrix must be 2x2")
         a, b, c, d = m.ravel().tolist()

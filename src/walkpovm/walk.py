@@ -9,10 +9,11 @@ values, so states can be shared freely between threads.
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
 data.  Each input rule is written once, here: ``_integer`` (an int or numpy
-integer, never a bool), ``_real`` (a finite real in a range) and ``validate_coin``,
-the one unitarity test.  A ``CoinSchedule`` checks its positions and coins once,
-when built, and finds its ports and interferometers once, on first use.  Complex
-values cross JSON as ``{"re", "im"}`` cells only.
+integer, never a bool, in a range), ``_real`` (a finite real in a range),
+``_complex`` (an array of numbers) and ``validate_coin``, the one unitarity test.
+A ``CoinSchedule`` checks its positions and coins once, when built, and finds its
+ports and interferometers once, on first use, by ``_reach``, the one reachability
+pass.  Complex values cross JSON as ``{"re", "im"}`` cells only.
 """
 
 from __future__ import annotations
@@ -39,15 +40,17 @@ class ValidationError(ValueError):
 
 
 class _RuleError(ValidationError):
-    """A value broke ``_integer`` or ``_real``; in a file, ``decoding`` calls the file malformed."""
+    """A value broke an input rule below; in a file, ``decoding`` calls the file malformed."""
 
 
-def _integer(value, what: str, low: float = -math.inf) -> int:
-    """``value`` as an int: an int or numpy integer, never a bool, and >= ``low``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+def _integer(value, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as an int: an int or numpy integer, never a bool, in [low, high]."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value <= high):
         return int(value)
-    at_least = "" if low == -math.inf else f" >= {low}"
-    raise _RuleError(f"{what} must be an integer{at_least}, not {value!r}")
+    within = ("" if low == -math.inf else f" >= {low}" if high == math.inf
+              else f" in [{low}, {high}]")
+    raise _RuleError(f"{what} must be an integer{within}, not {value!r}")
 
 
 def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> float:
@@ -65,13 +68,31 @@ def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> 
     raise _RuleError(f"{what} must be a finite number{within}, not {value!r}")
 
 
+def _complex(value, what, *args) -> np.ndarray:
+    """``value`` as a complex array; a str or other non-number entry, or a ragged list, fails.
+
+    ``what`` names the value, or is a function of ``args`` that names it on failure only.
+    """
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        name = what(*args) if args else what
+        raise _RuleError(f"{name} must be an array of numbers, not {value!r}") from exc
+
+
+def _coin_name(position, step) -> str:
+    """"coin operation", with the position and step where they are given."""
+    return ("coin operation" + ("" if position is None else f" at position {position}")
+            + ("" if step is None else f" in step {step}"))
+
+
 def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     """Return the coin as a complex array, rejecting non-unitary input.
 
     Entries must be finite and M^dag M - I within ``DEFAULT.unitarity``.
     The error message names the offending position (and step, if given).
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex(matrix, _coin_name, position, step)
     if m.shape == (2, 2):
         a, b, c, d = m.ravel().tolist()
         # each entry of M^dag M - I is compared on its own: a fold such as max() skips a NaN.
@@ -83,12 +104,7 @@ def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
                 and abs(col1 * col1 - 1.0) <= DEFAULT.unitarity
                 and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT.unitarity):
             return m
-    where = ""
-    if position is not None:
-        where += f" at position {position}"
-    if step is not None:
-        where += f" in step {step}"
-    raise ValidationError(f"coin operation{where} is not a 2x2 unitary")
+    raise ValidationError(f"{_coin_name(position, step)} is not a 2x2 unitary")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -103,7 +119,7 @@ def _norm(v: np.ndarray) -> float:
 
 def coin_column(vector) -> np.ndarray:
     """The input coin state as a complex 2-vector, rejecting any other input."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = _complex(vector, "input coin state").reshape(-1)
     if v.shape != (2,) or not abs(_norm(v) - 1.0) <= DEFAULT.input_norm:
         raise ValidationError("input coin state must be a normalised 2-vector")
     return v
@@ -175,32 +191,8 @@ class CoinSchedule:
 
     @cached_property
     def _structure(self) -> tuple:
-        """(ports, interferometers) of the walk from x = 0, as tuples, in one pass.
-
-        A list of bools walks the frame of ``_coin_rows``, a coin's two rows at
-        a time, with its pattern of entries above ``DEFAULT.norm``; an OR of
-        ANDs cannot cancel, so a row is True exactly when some path reaches it.
-        """
-        t, tol = self.n_steps, DEFAULT.norm
-        lit = [False] * (2 * t + 2)
-        lit[t] = lit[t + 1] = True
-        pairs = []
-        for s, coins in enumerate(self.steps, start=1):
-            mixes = False
-            for x, m in coins.items():
-                rows = _coin_rows(t, s, x)
-                if rows is not None:
-                    i, j = rows.start, rows.start + s
-                    a, b, c, d = m.ravel().tolist()
-                    # the coin mixes when some output superposes both inputs
-                    mixes = mixes or (s >= 3 and lit[i] and lit[j]
-                                      and (abs(a * b) > tol or abs(c * d) > tol))
-                    lit[i], lit[j] = ((abs(a) > tol and lit[i]) or (abs(b) > tol and lit[j]),
-                                      (abs(c) > tol and lit[i]) or (abs(d) > tol and lit[j]))
-            if mixes:
-                pairs.append((s - 2, s - 1))
-        ports = tuple(2 * k - t for k in range(t + 1) if lit[k] or lit[t + 1 + k])
-        return ports, tuple(pairs)
+        """``_reach`` of the schedule's steps, found on first use and kept."""
+        return _reach(self.n_steps, self.steps)
 
     def to_json(self) -> str:
         out = [
@@ -230,6 +222,40 @@ def _coin_rows(t: int, s: int, x: int):
         return None
     i = t + (x - s + 1) // 2
     return slice(i, i + s + 1, s)
+
+
+def _reach(t: int, steps) -> tuple:
+    """(ports any walk reaches, {interferometer: the walks it mixes in}) from x = 0.
+
+    A coin is (2, 2), or (B, 2, 2) for B walks of one layout.  Each row of the
+    ``_coin_rows`` frame has a flag, a bool or (B,) bool array, made from the
+    coins' entries above ``DEFAULT.norm`` by ORs of ANDs, which cannot cancel:
+    it is set exactly where some path reaches the row.
+    """
+    tol = DEFAULT.norm
+    lit = [False] * (2 * t + 2)
+    lit[t] = lit[t + 1] = True
+    pairs = {}
+    for s, coins in enumerate(steps, start=1):
+        mixes = False
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                i, j = rows.start, rows.start + s
+                a, b, c, d = m.ravel().tolist() if m.ndim == 2 else m.reshape(-1, 4).T
+                # the coin mixes when some output superposes both inputs
+                mixes = mixes | (lit[i] & lit[j] & ((abs(a * b) > tol) | (abs(c * d) > tol)))
+                lit[i], lit[j] = (((abs(a) > tol) & lit[i]) | ((abs(b) > tol) & lit[j]),
+                                  ((abs(c) > tol) & lit[i]) | ((abs(d) > tol) & lit[j]))
+        if s >= 3 and _some(mixes):
+            pairs[(s - 2, s - 1)] = mixes
+    ports = tuple(2 * k - t for k in range(t + 1) if _some(lit[k] | lit[t + 1 + k]))
+    return ports, pairs
+
+
+def _some(flag) -> bool:
+    """Whether a reach flag, a bool or a (B,) bool array, holds for some walk."""
+    return flag is True or (flag is not False and flag.any())
 
 
 def _propagate(schedule: CoinSchedule, columns: np.ndarray) -> np.ndarray:

@@ -1,19 +1,18 @@
 """One fixed catalogue of hostile values, applied to every scalar input slot.
 
-Each slot is an integer (a coin position, a port, a displacer, a sign), a
-bounded real (a visibility, an efficiency, a budget, a plate angle, a USD
-angle) or a config.  For every hostile value a slot either raises
-``ValidationError``, or accepts it, and then ``from_json(to_json(x))``
-equals x wherever x has a JSON form.  Each slot also names the values it
-accepts, so a rule that starts taking a bool or truncating a float fails
-here.  The CLI gets the same values as option text: exit 0, or exit 1
-with ``error:``.
+Each slot is an integer (a coin position, a port, a displacer, a plate's
+position or step, a sign, a photon count, a seed), a bounded real (a
+visibility, an efficiency, a budget, a plate angle, a USD angle) or a
+config.  For every hostile value a slot either raises ``ValidationError``,
+or accepts it, and then ``from_json(to_json(x))`` equals x wherever x has a
+JSON form.  Each slot also names the values it accepts, so a rule that
+starts taking a bool or truncating a float fails here.  The CLI gets the
+same values as option text: exit 0, or exit 1 with ``error:``.
 
-Photon counts and seeds sit in ``test_experiment.py``'s ``_check_draw`` and
-``CountTable`` tables, and non-finite matrix and vector entries in
-``test_walk.py``'s ``_BOUNDARIES``.  Records that take no input rule
-(``WalkState``, ``IterationPair``, ``SweepPoint``, ``OpticalNetlist``) are
-not slots.
+Counts in a ``CountTable`` sit in ``test_experiment.py``, and non-finite
+and str matrix and vector entries in ``test_walk.py``'s ``_BOUNDARIES``.
+Records that take no input rule (``WalkState``, ``IterationPair``,
+``SweepPoint``, ``OpticalNetlist``) are not slots.
 """
 
 import io
@@ -30,6 +29,7 @@ from walkpovm.experiment import (
     ImperfectionConfig,
     apply_efficiencies,
     run_density,
+    sample_counts,
     usd_sweep,
 )
 from walkpovm.optics import WavePlate, usd_plate_angle
@@ -57,12 +57,14 @@ HOSTILE = {
     "numpy-bool": np.bool_(True),
     "str": "1",
     "none": None,
+    "2**63": 2**63,  # one past the largest count numpy's multinomial draws
 }
 
 # the hostile values each rule takes
-INTEGER = {"numpy-int"}
+INTEGER = {"numpy-int", "2**63"}
+COUNT = {"numpy-int"}  # [1, 2^63 - 1]
 UNIT = {"half", "float-one", "numpy-float"}  # [0, 1] and (0, 1]
-FINITE = {"half", "float-one", "1e308", "numpy-int", "numpy-float"}
+FINITE = {"half", "float-one", "1e308", "numpy-int", "numpy-float", "2**63"}
 USD_ANGLE = {"half", "float-one", "numpy-float"}  # (0, pi/2]
 
 _PROJECTOR = np.diag([1.0, 0.0])
@@ -136,12 +138,18 @@ SLOTS = {
     "apply_efficiencies efficiency": (
         lambda v: apply_efficiencies({0: 0.5, 2: 0.5}, {0: v}), UNIT, None),
     "WavePlate angle": (lambda v: WavePlate("HWP", v), FINITE, None),
+    "WavePlate position": (lambda v: WavePlate("HWP", 10.0, v), INTEGER, None),
+    "WavePlate step": (lambda v: WavePlate("HWP", 10.0, 0, v), INTEGER, None),
     "usd_scenario theta": (usd_scenario, USD_ANGLE, None),
     "scenario_schedule theta": (lambda v: scenario_schedule("usd", v), USD_ANGLE,
                                 _schedule_round_trip),
     "usd_success_probability theta": (usd_success_probability, USD_ANGLE, None),
     "usd_plate_angle theta": (usd_plate_angle, USD_ANGLE, None),
     "usd_sweep angle": (lambda v: usd_sweep([v], total=10), USD_ANGLE, None),
+    "usd_sweep total": (lambda v: usd_sweep([0.5], total=v), COUNT, None),
+    "usd_sweep seed": (lambda v: usd_sweep([0.5], total=10, seed=v), INTEGER, None),
+    "sample_counts total": (lambda v: sample_counts({0: 0.5, 2: 0.5}, v, 0), COUNT, None),
+    "sample_counts seed": (lambda v: sample_counts({0: 0.5, 2: 0.5}, 10, v), INTEGER, None),
     "usd_state sign": (lambda v: usd_state(v, 0.5), set(), None),
     "usd_state theta": (lambda v: usd_state(1, v), FINITE, None),
     "run_density config": (lambda v: run_density(_SIC, [1.0, 0.0], v), {"none"}, None),
@@ -187,3 +195,16 @@ def test_hostile_option_text_exits_0_or_1(cmd, option, tmp_path, monkeypatch):
         if code == 1:
             assert err.getvalue().startswith("error:"), (option, value)
             assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scenario", "trine", "--input", "H", "--counts", "99999999999999999999"],
+    ["sweep", "--thetas", "0.5", "--counts", "99999999999999999999"],
+], ids=["sample", "sweep"])
+def test_a_photon_count_numpy_cannot_draw_exits_1(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 1
+    assert err.getvalue().startswith("error: total count must be an integer in [1, ")
+    assert out.getvalue() == ""

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from conftest import fold_steps, random_unitary
-from walkpovm import walk
+from walkpovm import experiment, walk
 from walkpovm.experiment import (
     CountTable,
     ImperfectionConfig,
@@ -94,6 +94,16 @@ def test_usd_perfect_visibility_full_success():
     schedule = scenario_schedule("usd", np.pi / 2)
     dist = run_density(schedule, usd_state(+1, np.pi / 2))
     assert dist[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_damping_is_one_in_the_walks_a_pair_does_not_mix():
+    mixes = {(1, 2): np.array([True, False, True]), (2, 3): True,
+             (4, 5): np.array([False, True, False])}
+    damping = _damping(mixes, {(1, 2): 0.5, (2, 3): 0.9})
+    assert list(damping) == [1, 2, 3]
+    assert np.array_equal(damping[1], [[0.5], [1.0], [0.5]])
+    assert np.array_equal(damping[2], [[0.5 * 0.9], [0.9], [0.5 * 0.9]])
+    assert damping[3] == 0.9 and type(damping[3]) is float
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])
@@ -411,6 +421,20 @@ def test_sweep_equals_the_per_angle_oracle(thetas, visibility):
     for config, total, seed in ((cfg, 5000, 3), (None, 40000, 11)):
         assert (usd_sweep(thetas, config, total=total, seed=seed)
                 == oracle.usd_sweep(thetas, config, total=total, seed=seed))
+
+
+def test_sweep_builds_one_schedule_whatever_its_angles(monkeypatch):
+    # the peel of 1e-13 is diagonal and the others are not; one layout serves them all
+    built = []
+
+    def counting(pairs):
+        built.append(pairs)
+        return build_circuit(pairs)
+
+    monkeypatch.setattr(experiment, "build_circuit", counting)
+    usd_sweep([s * th for th in EDGE_ANGLES for s in (1, -1)],
+              ImperfectionConfig(visibilities={(1, 2): 0.8}), total=100, seed=0)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("eps", [5e-13, 1e-12])

@@ -175,7 +175,7 @@ def test_run_density_folds_tiny_visibilities_like_the_eager_engine():
             pairs = optics.interferometers(schedule)
             for tiny in (1e-60, 1e-300):
                 config = ImperfectionConfig(visibilities={p: tiny for p in pairs})
-                damping = experiment._damping(pairs, config.visibilities)
+                damping = experiment._damping(schedule._structure[1], config.visibilities)
                 assert len(fold_steps(damping)) > 1
                 got = experiment.run_density(schedule, v, config)
                 assert_same_distribution(got, oracle.run_density_eager(schedule, v, config))

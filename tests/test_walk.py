@@ -21,8 +21,9 @@ from walkpovm.walk import (
 from walkpovm import cli
 from walkpovm.experiment import ImperfectionConfig
 from walkpovm.optics import state_prep_angles
-from walkpovm.povm import PovmElement, PovmSet, scenario_schedule
-from walkpovm.walk import coin_column, complex_from_json, complex_to_json, decoding, validate_coin
+from walkpovm.povm import IterationPair, PovmElement, PovmSet, build_circuit, scenario_schedule
+from walkpovm.walk import (_reach, coin_column, complex_from_json, complex_to_json, decoding,
+                           validate_coin)
 
 
 def test_run_trine_on_h_matches_hand_trace():
@@ -201,6 +202,7 @@ def _schedule_with_cell(value):
 _BOUNDARIES = {
     "coin_column": lambda x: coin_column([x, 1.0]),
     "coin_column_1": lambda x: coin_column([1.0, x]),
+    "CoinSchedule": lambda x: CoinSchedule([{}, {1: [[0.0, 1.0], [x, 0.0]]}]),
     "validate_coin": lambda x: validate_coin([[x, 0.0], [0.0, 1.0]]),
     "validate_coin_01": lambda x: validate_coin([[1.0, x], [0.0, 1.0]]),
     "validate_coin_10": lambda x: validate_coin([[1.0, 0.0], [x, 1.0]]),
@@ -216,13 +218,22 @@ _BOUNDARIES = {
     "cli.parse_state_1": lambda x: cli.parse_state(f"1:{x}", None),
 }
 # entries whose message must also name where the bad value sits
-_NAMED = {"CoinSchedule.from_json": r"^coin operation at position 1 in step 2 "}
+_NAMED = {
+    "CoinSchedule": r"^coin operation at position 1 in step 2 ",
+    "CoinSchedule.from_json": r"^coin operation at position 1 in step 2 ",
+    **dict.fromkeys(["PovmElement", "PovmElement_01", "PovmElement_11", "PovmElement_offdiagonal"],
+                    r"^element e: "),
+    **dict.fromkeys(["coin_column", "coin_column_1", "state_prep_angles", "state_prep_angles_1"],
+                    r"^input coin state "),
+}
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x"])
 @pytest.mark.parametrize("entry", sorted(_BOUNDARIES))
 def test_non_finite_input_is_rejected(entry, value):
-    with pytest.raises(ValidationError, match=_NAMED.get(entry)):
+    # a str cell in a file fails to decode before any coin is built
+    named = None if (entry, value) == ("CoinSchedule.from_json", "x") else _NAMED.get(entry)
+    with pytest.raises(ValidationError, match=named):
         _BOUNDARIES[entry](value)
 
 
@@ -286,3 +297,33 @@ def test_export_list_matches_what_the_package_binds():
     public = {name for name, value in vars(walkpovm).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(namespace) == sorted(walkpovm.__all__) == sorted(public)
+
+
+def _layout_coin(rng):
+    """A Haar coin, or a diagonal or antidiagonal one whose other entries are 0 or 1e-13."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return random_unitary(rng)
+    phases = np.diag(np.exp(2j * np.pi * rng.random(2)))
+    eps = 1e-13 if kind == 3 else 0.0
+    m = np.array([[np.sqrt(1.0 - eps * eps), eps], [-eps, np.sqrt(1.0 - eps * eps)]]) @ phases
+    return NOT_COIN @ m if rng.integers(2) else m
+
+
+def test_batched_reachability_gives_each_walk_its_own_pass():
+    # B peel-off circuits of one layout; each coin slot is stacked across the walks,
+    # except the NOTs, which stay one 2x2 coin for all of them
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n, b = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        schedules = [build_circuit([IterationPair(_layout_coin(rng), _layout_coin(rng))
+                                    for _ in range(n - 1)]) for _ in range(b)]
+        steps = [{x: m if x == -1 else np.stack([sch.steps[s][x] for sch in schedules])
+                  for x, m in coins.items()} for s, coins in enumerate(schedules[0].steps)]
+        ports, pairs = _reach(schedules[0].n_steps, steps)
+        for w, schedule in enumerate(schedules):
+            own_ports, own_pairs = schedule._structure
+            assert all(walks is True for walks in own_pairs.values())
+            assert [p for p, walks in pairs.items() if walks is True or walks[w]] == list(own_pairs)
+        assert all(walks is True or walks.any() for walks in pairs.values())
+        assert list(ports) == sorted(set().union(*(sch._structure[0] for sch in schedules)))
