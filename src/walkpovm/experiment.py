@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .povm import (_usd_angle, _usd_columns, _usd_peel, build_circuit, usd_scenario,
+from .povm import (_layout, _usd_angle, _usd_columns, _usd_peel, usd_scenario,
                    usd_success_probability)
 from .tolerances import DEFAULT
-from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _reach, _real, coin_column,
-                   decoding)
+from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _reach, _real, _unique,
+                   coin_column, decoding)
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,14 @@ class ImperfectionConfig:
             unknown = data.keys() - {"visibilities", "port_efficiencies", "imbalance_budget", "seed"}
             if unknown:
                 raise ValidationError(f"malformed imperfection config: unknown key {min(unknown)!r}")
-            vis = {}
+            vis = []
             for key, v in data.get("visibilities", {}).items():
                 a, b = key.split("-")
-                vis[(int(a), int(b))] = v
-            eff = {int(p): e for p, e in data.get("port_efficiencies", {}).items()}
-            return cls(vis, eff, data.get("imbalance_budget", 0.05))
+                vis.append(((int(a), int(b)), v))
+            # "1-2" and "01-2" name one pair, "0" and "00" one port
+            eff = ((int(p), e) for p, e in data.get("port_efficiencies", {}).items())
+            return cls(_unique(vis, "visibility pair"), _unique(eff, "efficiency port"),
+                       data.get("imbalance_budget", 0.05))
 
 
 IDEAL = ImperfectionConfig()
@@ -332,9 +334,10 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     Negative angles mirror the positive ones (the success probability is
     even in theta) and probe the second input state, whose conclusive port
     is x = 0 instead of x = 2.  Magnitudes pass ``povm._usd_angle``; every
-    angle it admits gives a unitary peel, so the peel stack is not checked
-    again.  All angles walk in one batched ``_walk_density`` call, and each
-    gets an independent sub-stream of the seeded generator.
+    angle it admits gives a unitary peel, and the circuit's other coins are
+    fixed unitaries, so the sweep walks ``povm._layout`` with no schedule to
+    check them.  All angles walk in one batched ``_walk_density`` call, and
+    each gets an independent sub-stream of the seeded generator.
     """
     _check_draw(total, seed)
     config = _config(config)
@@ -343,10 +346,9 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     if not thetas:
         return []
     # the angles' circuits differ only in the peel coin at position 1 of step 2
-    schedule = build_circuit(usd_scenario(mags[0]))
-    steps = [dict(coins) for coins in schedule.steps]
+    steps = _layout(usd_scenario(mags[0]))
     steps[1][1] = _usd_peel(mags)
-    n = schedule.n_steps
+    n = len(steps)
     damping = _damping(_reach(n, steps)[1], config.visibilities)
     ports = [2 * k - n for k in range(n + 1)]
     probs = _walk_density(n, steps, _usd_columns(np.sign(thetas), mags), damping)

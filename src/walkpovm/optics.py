@@ -145,6 +145,15 @@ def _so3(u: np.ndarray) -> np.ndarray:
     return r.reshape(u.shape[:-2] + (3, 3)).swapaxes(-1, -2)
 
 
+def _qwp_so3(angle_deg: np.ndarray) -> np.ndarray:
+    """``_so3(qwp(a))`` in closed form: the quarter turn n n^T + [n]x about
+    n = (sin 2a, 0, cos 2a), for an array of angles a in degrees."""
+    a = np.radians(2.0 * angle_deg)
+    s, c = np.sin(a), np.cos(a)
+    r = np.stack([s * s, -c, s * c, c, 0.0 * a, -s, s * c, s, c * c], -1)
+    return r.reshape(a.shape + (3, 3))
+
+
 def _hwp_angle(h: np.ndarray) -> np.ndarray:
     """Angles of HWPs with Bloch rotations h: H = 2 n n^T - I, n = (sin 2b, 0, cos 2b)."""
     return np.degrees(np.arctan2(h[:, 0, 2], h[:, 2, 2])) / 4.0 % 90.0 % 90.0
@@ -153,14 +162,14 @@ def _hwp_angle(h: np.ndarray) -> np.ndarray:
 def _pair(r: np.ndarray) -> np.ndarray:
     """HWP * QWP angles for Bloch rotations r with r[1, 1] = 0; the QWP undoes r's action on y."""
     gamma = np.degrees(np.arctan2(r[:, 1, 2], -r[:, 1, 0])) / 2.0
-    return np.column_stack([_hwp_angle(r @ _so3(qwp(gamma)).swapaxes(1, 2)), gamma])
+    return np.column_stack([_hwp_angle(r @ _qwp_so3(gamma).swapaxes(1, 2)), gamma])
 
 
 def _triple(r: np.ndarray) -> np.ndarray:
     """QWP * HWP * QWP angles: the outer QWP turns r's image of y back into the x-z plane."""
     w0, w2 = r[:, 0, 1], r[:, 2, 1]
     alpha = np.where(np.hypot(w0, w2) > DEFAULT.norm, np.degrees(np.arctan2(w0, w2)) / 2.0, 0.0)
-    return np.column_stack([alpha, _pair(_so3(qwp(alpha)).swapaxes(1, 2) @ r)])
+    return np.column_stack([alpha, _pair(_qwp_so3(alpha).swapaxes(1, 2) @ r)])
 
 
 def _lower(us: np.ndarray, slots=None) -> list:

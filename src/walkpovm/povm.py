@@ -5,7 +5,9 @@ iteration i applies its first coin at x = 0, shifts, then applies its
 second coin at x = 1 together with a NOT at x = -1, and shifts again.
 Each iteration routes one outcome's amplitude onto a dedicated
 detection port (an even position); whatever remains at x = 0 after the
-last iteration is the final outcome.
+last iteration is the final outcome.  ``_layout`` writes this layout
+once; ``build_circuit`` checks it into a ``CoinSchedule``, the only
+schedule built here from coins a caller gives.
 
 ``synthesize`` builds these pairs in one pass over the outcomes in their
 given order (Kurzynski & Wojcik, PRL 110, 200404 (2013)).  The rows f_i
@@ -13,7 +15,10 @@ of a rank-1 target, with E_i = f_i^dag f_i, stack into an n x 2
 isometry.  Each iteration peels the next row and rewrites the remaining
 rows in the frame the walker's residual state moves to, so the rows stay
 an isometry and every peel is feasible.  Outcome i leaves at port
-2(n-1-i); no outcome ordering is searched.
+2(n-1-i); no outcome ordering is searched.  The coins it makes are unitary
+by construction, so it checks its circuit by walking the layout once,
+with no schedule and no ``PovmElement``, and ``usd_sweep`` walks the
+same layout with a stack of peel coins.
 
 ``NAMED_STATES`` holds the paper's input states by label: ``H``, ``V``,
 the trine states ``psi3-i``, the SIC states ``psi4-i`` and the states
@@ -138,19 +143,20 @@ class IterationPair:
     c2: np.ndarray
 
 
+def _layout(pairs) -> list:
+    """The peel-off steps, unchecked: c1 at x = 0, then c2 at x = 1 and a NOT at x = -1."""
+    return [step for p in pairs for step in ({0: p.c1}, {1: p.c2, -1: NOT_COIN})]
+
+
 def build_circuit(pairs) -> CoinSchedule:
     """Lay out the peel-off schedule: 2 steps per iteration pair.
 
     The schedule checks every coin: a bad c1 of pair k is named as position
     0 in step 2k + 1, a bad c2 as position 1 in step 2k + 2.
     """
-    pairs = list(pairs)
-    if not pairs:
+    steps = _layout(pairs)
+    if not steps:
         raise ValidationError("at least one iteration pair is required (n >= 2 outcomes)")
-    steps = []
-    for p in pairs:
-        steps.append({0: p.c1})
-        steps.append({1: p.c2, -1: NOT_COIN})
     return CoinSchedule(steps)
 
 
@@ -162,7 +168,7 @@ def extract_povm(schedule: CoinSchedule) -> PovmSet:
     E_x = K_x^dag K_x for every port either input reaches.
     """
     t = schedule.n_steps
-    final = _propagate(schedule, IDENTITY_COIN)
+    final = _propagate(t, schedule.steps, IDENTITY_COIN)
     return PovmSet.build(
         PovmElement(final[k].conj().T @ final[k], f"E{2 * k - t}", 2 * k - t)
         for k in np.flatnonzero(final.any(axis=(1, 2))).tolist()
@@ -197,7 +203,9 @@ def synthesize(target: PovmSet):
     taking b from the rows rather than from sqrt(1 - a^2) keeps coins and
     rows consistent when a^2 + b^2 is off 1 by rounding or by up to the
     completeness gate.  Outcome i goes to port 2(n-1-i).  The circuit is
-    verified by round-tripping through ``extract_povm``.
+    verified by walking its layout once from both coin basis states: each
+    element must equal K^dag K of the Kraus map K at its port.  A repeated
+    label is rejected, since the labels key the outcome->port map.
     """
     n = len(target.elements)
     if n < 2:
@@ -207,6 +215,11 @@ def synthesize(target: PovmSet):
     residual = float(np.linalg.norm(g.conj().T @ g - np.eye(2), ord=2))
     if residual >= DEFAULT.completeness:
         raise ValidationError(f"target POVM is not complete (residual {residual:.3g})")
+    assignment = {e.label: 2 * (n - 1 - i) for i, e in enumerate(target.elements)}
+    if len(assignment) < n:
+        labels = [e.label for e in target.elements]
+        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise ValidationError(f"target POVM gives the label {repeated!r} to more than one element")
 
     pairs = []
     for k in range(n - 1):
@@ -226,12 +239,12 @@ def synthesize(target: PovmSet):
         pairs.append(IterationPair(np.vstack([r, low]), c2))
         g[k + 1:] = rest
 
-    assignment = {e.label: 2 * (n - 1 - i) for i, e in enumerate(target.elements)}
-    produced = {e.port: e.matrix for e in extract_povm(build_circuit(pairs)).elements}
-    for e in target.elements:
-        deviation = float(np.max(np.abs(
-            produced.get(assignment[e.label], np.zeros((2, 2))) - e.matrix)))
-        if deviation > DEFAULT.synthesis_roundtrip:
+    # outcome i leaves at port 2(n-1-i): row 2(n-1) - i of the walk's Kraus maps
+    kraus = _propagate(2 * (n - 1), _layout(pairs), IDENTITY_COIN)[:n - 2:-1]
+    produced = kraus.conj().swapaxes(1, 2) @ kraus
+    deviations = np.max(np.abs(produced - [e.matrix for e in target.elements]), axis=(1, 2))
+    for e, deviation in zip(target.elements, deviations.tolist()):
+        if not deviation <= DEFAULT.synthesis_roundtrip:
             raise SynthesisInfeasibleError(e.label, deviation)
     return pairs, assignment
 

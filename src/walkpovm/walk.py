@@ -8,10 +8,14 @@ values, so states can be shared freely between threads.
 
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
-data.  Each input rule is written once, here: ``_integer`` (an int or numpy
-integer, never a bool, in a range), ``_real`` (a finite real in a range),
-``_complex`` (an array of numbers) and ``validate_coin``, the one unitarity test.
-A ``CoinSchedule`` checks its positions and coins once, when built, and finds its
+data.  The three walkers, ``_propagate``, ``_reach`` and
+``experiment._walk_density``, take ``(t, steps, ...)``: a step count and
+position -> coin maps that they do not check, so a caller may walk coins it
+made unitary itself without building a schedule.  Each input rule is written
+once, here: ``_integer`` (an int or numpy integer, never a bool, in a range),
+``_real`` (a finite real in a range), ``_complex`` (an array of numbers, never
+a bool or str) and ``validate_coin``, the one unitarity test.  A
+``CoinSchedule`` checks its positions and coins once, when built, and finds its
 ports and interferometers once, on first use, by ``_reach``, the one reachability
 pass.  Complex values cross JSON as ``{"re", "im"}`` cells only.
 """
@@ -31,6 +35,7 @@ from .tolerances import DEFAULT
 R = 0
 L = 1
 
+_COMPLEX = np.dtype(complex)
 IDENTITY_COIN = np.eye(2, dtype=complex)
 NOT_COIN = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -69,11 +74,17 @@ def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> 
 
 
 def _complex(value, what, *args) -> np.ndarray:
-    """``value`` as a complex array; a str or other non-number entry, or a ragged list, fails.
+    """``value`` as a complex array; a bool, str or other non-number entry, or a ragged list,
+    fails.  A complex ndarray, as every coin on the design path is, is returned as it is.
 
     ``what`` names the value, or is a function of ``args`` that names it on failure only.
     """
+    if type(value) is np.ndarray and value.dtype is _COMPLEX:
+        return value  # what np.asarray(value, dtype=complex) returns
     try:
+        # numpy reads a bool or numeric str as a number, also inside a list of numbers
+        if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in np.asarray(value, object).flat):
+            raise TypeError("a bool or str is not a number")
         return np.asarray(value, dtype=complex)
     except (TypeError, ValueError) as exc:
         name = what(*args) if args else what
@@ -137,7 +148,19 @@ def complex_from_json(cells):
     """Inverse of ``complex_to_json``; call it inside ``decoding``."""
     if isinstance(cells, list):
         return np.array([complex_from_json(c) for c in cells], dtype=complex)
+    if type(cells["re"]) not in (int, float) or type(cells["im"]) not in (int, float):
+        raise _RuleError(f"a complex cell's parts must be numbers, not {cells!r}")
     return complex(cells["re"], cells["im"])
+
+
+def _unique(items, what: str) -> dict:
+    """The (key, value) ``items`` as a dict; a key given twice is an error naming it."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise _RuleError(f"{what} {key!r} is given twice")
+        out[key] = value
+    return out
 
 
 @contextmanager
@@ -149,7 +172,8 @@ def decoding(what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
     except ValidationError:
         raise
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, RecursionError,
+            OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
@@ -206,8 +230,9 @@ class CoinSchedule:
     def from_json(cls, text: str) -> "CoinSchedule":
         with decoding("schedule file"):
             return cls([
-                {e["position"]: complex_from_json(e["matrix"]) for e in raw["coins"]}
-                for raw in json.loads(text)["steps"]
+                _unique(((e["position"], complex_from_json(e["matrix"])) for e in raw["coins"]),
+                        f"step {s}: position")
+                for s, raw in enumerate(json.loads(text)["steps"], start=1)
             ])
 
 
@@ -258,15 +283,14 @@ def _some(flag) -> bool:
     return flag is True or (flag is not False and flag.any())
 
 
-def _propagate(schedule: CoinSchedule, columns: np.ndarray) -> np.ndarray:
-    """Final amplitudes of the walk from x = 0 for each input coin column.
+def _propagate(t: int, steps, columns: np.ndarray) -> np.ndarray:
+    """Final amplitudes of the t-step walk from x = 0 for each input coin column.
 
-    Row k of the (T + 1, coin, batch) result holds port 2k - T.
+    Row k of the (t + 1, coin, batch) result holds port 2k - t.
     """
-    t = schedule.n_steps
     a = np.zeros((2 * t + 2, columns.shape[1]), dtype=complex)
     a[t:t + 2] = columns
-    for s, coins in enumerate(schedule.steps, start=1):
+    for s, coins in enumerate(steps, start=1):
         for x, m in coins.items():
             rows = _coin_rows(t, s, x)
             if rows is not None:
@@ -277,7 +301,7 @@ def _propagate(schedule: CoinSchedule, columns: np.ndarray) -> np.ndarray:
 def run(schedule: CoinSchedule, coin_vector) -> WalkState:
     """Run the walk from x = 0: coin-then-shift for every schedule step."""
     t = schedule.n_steps
-    final = _propagate(schedule, coin_column(coin_vector)[:, None])[:, :, 0]
+    final = _propagate(t, schedule.steps, coin_column(coin_vector)[:, None])[:, :, 0]
     return WalkState({(2 * int(k) - t, int(c)): complex(final[k, c])
                       for k, c in zip(*np.nonzero(final))})
 

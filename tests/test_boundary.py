@@ -9,15 +9,19 @@ JSON form.  Each slot also names the values it accepts, so a rule that
 starts taking a bool or truncating a float fails here.  The CLI gets the
 same values as option text: exit 0, or exit 1 with ``error:``.
 
+Matrix and vector entries take no bool and no str, which numpy would read
+as the numbers 1 and 0, also in a list of numbers or a file cell.  A file
+that gives one position, displacer pair or port twice is malformed.
 Counts in a ``CountTable`` sit in ``test_experiment.py``, and non-finite
-and str matrix and vector entries in ``test_walk.py``'s ``_BOUNDARIES``.
-Records that take no input rule (``WalkState``, ``IterationPair``,
-``SweepPoint``, ``OpticalNetlist``) are not slots.
+matrix and vector entries in ``test_walk.py``'s ``_BOUNDARIES``.  Records
+that take no input rule (``WalkState``, ``IterationPair``, ``SweepPoint``,
+``OpticalNetlist``) are not slots.
 """
 
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -32,7 +36,7 @@ from walkpovm.experiment import (
     sample_counts,
     usd_sweep,
 )
-from walkpovm.optics import WavePlate, usd_plate_angle
+from walkpovm.optics import WavePlate, state_prep_angles, usd_plate_angle
 from walkpovm.povm import (
     PovmElement,
     PovmSet,
@@ -41,7 +45,15 @@ from walkpovm.povm import (
     usd_state,
     usd_success_probability,
 )
-from walkpovm.walk import IDENTITY_COIN, CoinSchedule, ValidationError
+from walkpovm.walk import (
+    IDENTITY_COIN,
+    NOT_COIN,
+    CoinSchedule,
+    ValidationError,
+    coin_column,
+    complex_to_json,
+    validate_coin,
+)
 
 HOSTILE = {
     "true": True,
@@ -207,4 +219,94 @@ def test_a_photon_count_numpy_cannot_draw_exits_1(argv):
         code = cli.main(argv)
     assert code == 1
     assert err.getvalue().startswith("error: total count must be an integer in [1, ")
+    assert out.getvalue() == ""
+
+
+# bool and str entries that numpy reads as the numbers 1 and 0
+ONES = {"true": True, "numpy-bool": np.bool_(True), "str": "1"}
+ZEROS = {"false": False, "str-zero": "0"}
+
+
+def _cells(one, zero):
+    """The identity as file cells, ``one`` on the diagonal and ``zero`` off it and in each
+    imaginary part."""
+    return [[{"re": one, "im": zero}, {"re": zero, "im": zero}],
+            [{"re": zero, "im": zero}, {"re": one, "im": zero}]]
+
+
+# slot -> a call with the identity, or (1, 0), made of the given one and zero
+ENTRY_SLOTS = {
+    "validate_coin": lambda one, zero: validate_coin([[one, zero], [zero, one]]),
+    "CoinSchedule": lambda one, zero: CoinSchedule([{0: [[one, zero], [zero, one]]}]),
+    "PovmElement": lambda one, zero: PovmElement([[one, zero], [zero, zero]], "e", 0),
+    "coin_column": lambda one, zero: coin_column([one, zero]),
+    "state_prep_angles": lambda one, zero: state_prep_angles([one, zero]),
+    "CoinSchedule.from_json": lambda one, zero: CoinSchedule.from_json(_dumps(
+        {"steps": [{"coins": [{"position": 0, "matrix": _cells(one, zero)}]}]})),
+    "PovmSet.from_json": lambda one, zero: PovmSet.from_json(_dumps(
+        {"elements": [{"label": "e", "port": 0, "matrix": _cells(one, zero)}]})),
+}
+
+
+@pytest.mark.parametrize("value", sorted(ONES) + sorted(ZEROS))
+@pytest.mark.parametrize("slot", sorted(ENTRY_SLOTS))
+def test_a_bool_or_str_entry_is_rejected(slot, value):
+    one, zero = (ONES[value], 0) if value in ONES else (1, ZEROS[value])
+    ENTRY_SLOTS[slot](1, 0)  # the same slot takes the numbers
+    with pytest.raises(ValidationError, match="^malformed " if "json" in slot else None):
+        ENTRY_SLOTS[slot](one, zero)
+
+
+@pytest.mark.parametrize("whole", [
+    lambda: coin_column(["1", "0"]),
+    lambda: CoinSchedule([{0: [[True, False], [False, True]]}]),
+    lambda: CoinSchedule([{0: [["0", "1"], ["1", "0"]]}]),
+    lambda: PovmElement([[True, 0], [0, False]], "e", 0),
+    lambda: validate_coin(np.eye(2, dtype=bool)),
+    lambda: coin_column(np.array(["1", "0"])),
+], ids=["str-vector", "bool-matrix", "str-matrix", "mixed-element", "bool-array", "str-array"])
+def test_a_matrix_or_vector_of_bools_or_strs_is_rejected(whole):
+    with pytest.raises(ValidationError, match="must be an array of numbers"):
+        whole()
+
+
+def test_a_file_cell_part_beyond_every_float_is_malformed():
+    with pytest.raises(ValidationError, match="^malformed schedule file: "):
+        CoinSchedule.from_json(_dumps(
+            {"steps": [{"coins": [{"position": 0, "matrix": _cells(10**400, 0)}]}]}))
+
+
+def _step_with_position_0_twice():
+    coins = [{"position": 0, "matrix": complex_to_json(m)} for m in (NOT_COIN, IDENTITY_COIN)]
+    return json.dumps({"steps": [{"coins": coins}]})
+
+
+# file kind -> (its text, the CLI call that reads it from {path}, the repeat its error names)
+REPEATS = {
+    "schedule position": (_step_with_position_0_twice(), ["extract", "--file", "{path}"],
+                          "malformed schedule file: step 1: position 0 is given twice"),
+    "visibility pair": (json.dumps({"visibilities": {"1-2": 0.5, "01-2": 0.9}}),
+                        ["sample", "--scenario", "trine", "--input", "H", "--imperfections",
+                         "{path}"],
+                        "malformed imperfection config: visibility pair (1, 2) is given twice"),
+    "efficiency port": (json.dumps({"port_efficiencies": {"0": 1.0, "00": 0.99}}),
+                        ["sample", "--scenario", "trine", "--input", "H", "--imperfections",
+                         "{path}"],
+                        "malformed imperfection config: efficiency port 0 is given twice"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATS))
+def test_a_file_that_names_one_slot_twice_is_malformed(kind, tmp_path):
+    text, argv, message = REPEATS[kind]
+    load = CoinSchedule.from_json if kind == "schedule position" else ImperfectionConfig.from_json
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load(text)
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([a.format(path=path) for a in argv])
+    assert code == 1
+    assert err.getvalue() == f"error: {message}\n"
     assert out.getvalue() == ""

@@ -20,6 +20,7 @@ from walkpovm.experiment import (
 from walkpovm.povm import (
     NAMED_STATES,
     IterationPair,
+    _layout,
     build_circuit,
     scenario_port_map,
     scenario_schedule,
@@ -27,7 +28,7 @@ from walkpovm.povm import (
     usd_state,
     usd_success_probability,
 )
-from walkpovm.walk import ValidationError
+from walkpovm.walk import CoinSchedule, ValidationError
 
 
 def ideal_distribution(schedule, state):
@@ -423,18 +424,24 @@ def test_sweep_equals_the_per_angle_oracle(thetas, visibility):
                 == oracle.usd_sweep(thetas, config, total=total, seed=seed))
 
 
-def test_sweep_builds_one_schedule_whatever_its_angles(monkeypatch):
-    # the peel of 1e-13 is diagonal and the others are not; one layout serves them all
-    built = []
+def test_sweep_walks_one_layout_whatever_its_angles(monkeypatch):
+    # the peel of 1e-13 is diagonal and the others are not; one layout serves them
+    # all, and the sweep walks it without building a schedule
+    laid_out, built, real_init = [], [], CoinSchedule.__init__
 
-    def counting(pairs):
-        built.append(pairs)
-        return build_circuit(pairs)
+    def layout(pairs):
+        laid_out.append(pairs)
+        return _layout(pairs)
 
-    monkeypatch.setattr(experiment, "build_circuit", counting)
+    def schedule(self, steps):
+        built.append(steps)
+        real_init(self, steps)
+
+    monkeypatch.setattr(experiment, "_layout", layout)
+    monkeypatch.setattr(CoinSchedule, "__init__", schedule)
     usd_sweep([s * th for th in EDGE_ANGLES for s in (1, -1)],
               ImperfectionConfig(visibilities={(1, 2): 0.8}), total=100, seed=0)
-    assert len(built) == 1
+    assert len(laid_out) == 1 and built == []
 
 
 @pytest.mark.parametrize("eps", [5e-13, 1e-12])

@@ -12,6 +12,7 @@ from walkpovm.optics import (
     WavePlate,
     _lower,
     _phase_aligned_dist,
+    _qwp_so3,
     _so3,
     compile_netlist,
     decompose,
@@ -157,6 +158,12 @@ def test_so3_matches_trace_loop():
     for _ in range(200):
         u = random_unitary(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         np.testing.assert_allclose(_so3(u), oracle.so3(u), rtol=0, atol=1e-14)
+
+
+def test_qwp_rotation_in_closed_form_matches_its_jones_matrix():
+    # a quarter turn about (sin 2a, 0, cos 2a), over more than two periods of a
+    angles = np.linspace(-400.0, 400.0, 8001)
+    np.testing.assert_allclose(_qwp_so3(angles), _so3(qwp(angles)), rtol=0, atol=4e-15)
 
 
 def test_decompose_rejects_non_unitary():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_rank1_povm, random_unitary
 from walkpovm import optics, povm, walk
-from walkpovm.experiment import run_density
+from walkpovm.experiment import ImperfectionConfig, run_density, usd_sweep
 from walkpovm.povm import (
     NAMED_STATES,
     IterationPair,
@@ -347,17 +347,17 @@ def test_synthesize_rejects_rank2_element():
 
 
 def test_synthesis_infeasible_error_is_a_validation_error_naming_its_element(monkeypatch):
-    # the round trip through extract_povm is the check that raises it, so
-    # perturb what extraction reports at the port of psi3
-    real_extract = povm.extract_povm
+    # the walk of the synthesised layout is the check that raises it, so scale
+    # the Kraus map at the port of psi3, port 0, by sqrt(1 + 2e-6): its effect,
+    # whose largest entry is 1/2, moves by 1e-6
+    real_propagate = povm._propagate
 
-    def extract_off_at_port_0(schedule):
-        return PovmSet.build(
-            PovmElement(e.matrix + (1e-6 * I2 if e.port == 0 else 0), e.label, e.port)
-            for e in real_extract(schedule).elements
-        )
+    def off_at_port_0(t, steps, columns):
+        final = real_propagate(t, steps, columns)
+        final[t // 2] *= np.sqrt(1.0 + 2e-6)
+        return final
 
-    monkeypatch.setattr(povm, "extract_povm", extract_off_at_port_0)
+    monkeypatch.setattr(povm, "_propagate", off_at_port_0)
     target = PovmSet.build(
         [PovmElement(projector(NAMED_STATES[f"psi3-{i}"], 2 / 3), f"psi{i}", 0) for i in (1, 2, 3)]
     )
@@ -450,8 +450,9 @@ def test_usd_port_map_is_derived_by_extraction(theta):
 
 
 def test_each_coin_is_checked_once(monkeypatch):
-    # a schedule checks its 3(n - 1) coins, NOTs included, when it is built,
-    # and nothing that reads a built schedule checks them again
+    # synthesize walks the coins it made without a schedule; the caller's schedule
+    # checks its 3(n - 1) coins, NOTs included, when it is built, and nothing that
+    # reads a built schedule checks them again
     original, calls = walk.validate_coin, []
 
     def counting(matrix, **where):
@@ -462,15 +463,61 @@ def test_each_coin_is_checked_once(monkeypatch):
         monkeypatch.setattr(module, "validate_coin", counting)
     mats = random_rank1_povm(np.random.default_rng(5), 8)
     pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
-    assert len(calls) == 21  # the round-trip schedule
+    assert calls == []
     schedule = build_circuit(pairs)
-    assert len(calls) == 42 and all("step" in where for where in calls)
+    assert len(calls) == 21 and all("step" in where for where in calls)
     optics.compile_netlist(schedule)
     extract_povm(schedule)
     run_density(schedule, [1.0, 0.0])
     optics.output_ports(schedule)
     optics.interferometers(schedule)
-    assert len(calls) == 42
+    assert len(calls) == 21
+
+
+@pytest.mark.parametrize("call", ["synthesize", "usd_sweep"])
+def test_synthesize_and_sweep_build_no_schedule_and_no_element(call, monkeypatch):
+    mats = random_rank1_povm(np.random.default_rng(5), 8)
+    target = PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
+    config = ImperfectionConfig(visibilities={(1, 2): 0.9})
+    built = []
+    for cls in (CoinSchedule, PovmElement):
+        def counting(self, *args, _cls=cls, _init=cls.__init__):
+            built.append(_cls.__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    if call == "synthesize":
+        synthesize(target)
+    else:
+        usd_sweep([0.3, -0.7, np.pi / 2], config, total=100)
+    assert built == []
+
+
+def test_a_corrupt_completion_row_fails_as_an_element_not_as_a_coin(monkeypatch):
+    # a wrong row makes c1 non-unitary; synthesize walks its circuit unchecked, so
+    # the failure names the element the circuit misses, not a coin's unitarity
+    real_completion = povm._orthonormal_completion
+    monkeypatch.setattr(povm, "_orthonormal_completion", lambda row: 1.5 * real_completion(row))
+    mats = random_rank1_povm(np.random.default_rng(5), 8)
+    target = PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
+    with pytest.raises(SynthesisInfeasibleError, match=r"^element o\d: ") as info:
+        synthesize(target)
+    assert "unitary" not in str(info.value)
+    assert info.value.deviation > DEFAULT.synthesis_roundtrip
+
+
+def test_a_repeated_label_is_named_before_peeling(monkeypatch):
+    # the labels key the returned assignment, so a repeat would drop outcomes from it
+    def no_peel(*args):
+        raise AssertionError("a target with a repeated label reached the peel loop")
+
+    monkeypatch.setattr(povm, "IterationPair", no_peel)
+    target = PovmSet.build(
+        [PovmElement(projector(NAMED_STATES[f"psi3-{i}"], 2 / 3), "x", 0) for i in (1, 2, 3)]
+    )
+    with pytest.raises(ValidationError, match="label 'x'") as info:
+        synthesize(target)
+    assert not isinstance(info.value, SynthesisInfeasibleError)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
