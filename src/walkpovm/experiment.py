@@ -35,21 +35,21 @@ import numpy as np
 from .povm import (_layout, _usd_angle, _usd_columns, _usd_peel, usd_scenario,
                    usd_success_probability)
 from .tolerances import DEFAULT
-from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _reach, _real, _unique,
-                   coin_column, decoding)
+from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _loads, _reach, _real,
+                   _unique, coin_column, decoding)
 
 
 @dataclass(frozen=True)
 class ImperfectionConfig:
     """Optical non-idealities of the apparatus.
 
-    ``visibilities`` maps an interferometer, its (int, int) displacer pair, to
-    the interference contrast in [0, 1]; pairs absent from the map are
-    perfect, and a pair that is not an interferometer of the schedule being
-    run is ignored.  ``port_efficiencies`` maps integer detection ports to
-    relative detector efficiencies in (0, 1]; their spread must stay inside
-    ``imbalance_budget``, a finite number >= 0.  ``from_json`` rejects any
-    key it does not know except the ``"seed"`` older files carry.
+    ``visibilities`` maps an interferometer, its (int, int) pair of displacer
+    steps, each >= 1, to the interference contrast in [0, 1]; pairs absent
+    from the map are perfect, and a pair that is not an interferometer of the
+    schedule being run is ignored.  ``port_efficiencies`` maps integer
+    detection ports to relative detector efficiencies in (0, 1]; their spread
+    must stay inside ``imbalance_budget``, a finite number >= 0.  ``from_json``
+    rejects any key it does not know except the ``"seed"`` older files carry.
     """
 
     visibilities: dict = field(default_factory=dict)
@@ -61,7 +61,7 @@ class ImperfectionConfig:
         for pair, v in self.visibilities.items():
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValidationError(f"visibility key {pair!r} must be an (int, int) displacer pair")
-            vis[tuple(_integer(a, f"visibility key {pair!r} entry") for a in pair)] = _real(
+            vis[tuple(_integer(a, f"visibility key {pair!r} entry", 1) for a in pair)] = _real(
                 v, f"visibility for {pair}", 0.0, 1.0)
         eff = {_integer(port, "efficiency port"):
                _real(eta, f"efficiency for port {port}", 0.0, 1.0, open_low=True)
@@ -91,7 +91,7 @@ class ImperfectionConfig:
     @classmethod
     def from_json(cls, text: str) -> "ImperfectionConfig":
         with decoding("imperfection config"):
-            data = json.loads(text)
+            data = _loads(text)
             unknown = data.keys() - {"visibilities", "port_efficiencies", "imbalance_budget", "seed"}
             if unknown:
                 raise ValidationError(f"malformed imperfection config: unknown key {min(unknown)!r}")

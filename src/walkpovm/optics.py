@@ -251,7 +251,16 @@ def output_ports(schedule: CoinSchedule) -> list:
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
-    """Lower a schedule to hardware: one displacer per step, its coins' plates as one stack."""
+    """Lower a schedule to hardware: one displacer per step, its coins' plates as one stack.
+
+    A slot's plates match its coin only up to a global phase, and the netlist
+    keeps no phase.  Where two coins of one step feed paths that recombine,
+    their relative phase is measured, so the plates can measure another POVM:
+    for a seeded Haar coin on every site of a 4-step walk, 0.59 away in
+    operator norm.  Peel-off circuits lose nothing, since c1 sits alone in its
+    step and c2 and the NOT beside it are exactly half-wave plates.  ROADMAP
+    item 2 keeps the slot phases.
+    """
     slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
     us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)
     plates = tuple(p for group in _lower(us, slots) for p in group)

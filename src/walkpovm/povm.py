@@ -10,15 +10,15 @@ once; ``build_circuit`` checks it into a ``CoinSchedule``, the only
 schedule built here from coins a caller gives.
 
 ``synthesize`` builds these pairs in one pass over the outcomes in their
-given order (Kurzynski & Wojcik, PRL 110, 200404 (2013)).  The rows f_i
-of a rank-1 target, with E_i = f_i^dag f_i, stack into an n x 2
+given order (Kurzynski & Wojcik, PRL 110, 200404 (2013)).  One ``eigh``
+of the stacked effects gives the rows f_i, E_i = f_i^dag f_i, of an n x 2
 isometry.  Each iteration peels the next row and rewrites the remaining
 rows in the frame the walker's residual state moves to, so the rows stay
 an isometry and every peel is feasible.  Outcome i leaves at port
-2(n-1-i); no outcome ordering is searched.  The coins it makes are unitary
-by construction, so it checks its circuit by walking the layout once,
-with no schedule and no ``PovmElement``, and ``usd_sweep`` walks the
-same layout with a stack of peel coins.
+2(n-1-i); no outcome ordering is searched.  The coins are unitary by
+construction, so the circuit is checked by ``_effects`` of its layout,
+the K^dag K read-out ``extract_povm`` shares, with no schedule and no
+``PovmElement``; ``usd_sweep`` walks the same layout with peel coins.
 
 ``NAMED_STATES`` holds the paper's input states by label: ``H``, ``V``,
 the trine states ``psi3-i``, the SIC states ``psi4-i`` and the states
@@ -43,8 +43,10 @@ from .walk import (
     ValidationError,
     _complex,
     _integer,
+    _loads,
     _propagate,
     _real,
+    _unique,
     complex_from_json,
     complex_to_json,
     decoding,
@@ -131,7 +133,7 @@ class PovmSet:
         with decoding("POVM file"):
             return cls.build(
                 PovmElement(complex_from_json(raw["matrix"]), raw["label"], raw["port"])
-                for raw in json.loads(text)["elements"]
+                for raw in _loads(text)["elements"]
             )
 
 
@@ -161,36 +163,37 @@ def build_circuit(pairs) -> CoinSchedule:
 
 
 def extract_povm(schedule: CoinSchedule) -> PovmSet:
-    """Recover the POVM a schedule implements.
-
-    Walks both coin basis states in one pass, which yields the per-port
-    Kraus maps K_x (rows: final coin, columns: input basis), and returns
-    E_x = K_x^dag K_x for every port either input reaches.
-    """
+    """Recover the POVM a schedule implements: ``_effects`` at every port a basis state reaches."""
     t = schedule.n_steps
-    final = _propagate(t, schedule.steps, IDENTITY_COIN)
+    effects = _effects(t, schedule.steps)
     return PovmSet.build(
-        PovmElement(final[k].conj().T @ final[k], f"E{2 * k - t}", 2 * k - t)
-        for k in np.flatnonzero(final.any(axis=(1, 2))).tolist()
+        PovmElement(effects[k], f"E{2 * k - t}", 2 * k - t)
+        for k in np.flatnonzero(effects.any(axis=(1, 2))).tolist()
     )
 
 
+def _effects(t: int, steps) -> np.ndarray:
+    """E_x = K_x^dag K_x at every port x = 2k - t (row k) of the t-step walk, unchecked.
+
+    Both coin basis states walk from x = 0 in one pass to K_x (rows: final coin, columns: input).
+    """
+    kraus = _propagate(t, steps, IDENTITY_COIN)
+    return kraus.conj().swapaxes(1, 2) @ kraus
+
+
 def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
-    """Unit row orthogonal to ``row`` whose first nonzero entry is real positive."""
+    """Unit row orthogonal to the unit ``row`` whose first nonzero entry is real positive."""
     comp = np.array([-np.conj(row[1]), np.conj(row[0])])
-    for entry in comp:
-        if abs(entry) > DEFAULT.norm:
-            comp = comp * (np.conj(entry) / abs(entry))
-            break
-    return comp
+    entry = comp[0] if abs(comp[0]) > DEFAULT.norm else comp[1]
+    return comp * (np.conj(entry) / abs(entry))
 
 
-def _rank_one_row(element: PovmElement) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(element.matrix)
-    if vals[0] > DEFAULT.rank_one:
-        raise ValidationError(f"element {element.label} is not rank 1")
-    w = max(vals[1], 0.0)
-    return np.sqrt(w) * vecs[:, 1].conj()
+def _rows(elements) -> np.ndarray:
+    """Rows f_i with E_i = f_i^dag f_i, from one ``eigh`` of the stacked effects."""
+    vals, vecs = np.linalg.eigh(np.array([e.matrix for e in elements]))
+    if (wide := vals[:, 0] > DEFAULT.rank_one).any():
+        raise ValidationError(f"element {elements[wide.argmax()].label} is not rank 1")
+    return np.sqrt(np.maximum(vals[:, 1], 0.0))[:, None] * vecs[:, :, 1].conj()
 
 
 def synthesize(target: PovmSet):
@@ -202,24 +205,21 @@ def synthesize(target: PovmSet):
     (a, b) = (|g_k|, b) normalised, or the identity when b is negligible;
     taking b from the rows rather than from sqrt(1 - a^2) keeps coins and
     rows consistent when a^2 + b^2 is off 1 by rounding or by up to the
-    completeness gate.  Outcome i goes to port 2(n-1-i).  The circuit is
-    verified by walking its layout once from both coin basis states: each
-    element must equal K^dag K of the Kraus map K at its port.  A repeated
-    label is rejected, since the labels key the outcome->port map.
+    completeness gate.  Outcome i goes to port 2(n-1-i).  The rows come
+    from one ``eigh``, and ``_effects`` of the layout checks the circuit:
+    each element must equal K^dag K at its port.  A repeated label is
+    rejected, since the labels key the outcome->port map.
     """
     n = len(target.elements)
     if n < 2:
         raise ValidationError("a POVM needs at least two outcomes")
-    g = np.array([_rank_one_row(e) for e in target.elements])
+    g = _rows(target.elements)
     # the residual of the rows actually peeled, not the one the target carries
     residual = float(np.linalg.norm(g.conj().T @ g - np.eye(2), ord=2))
     if residual >= DEFAULT.completeness:
         raise ValidationError(f"target POVM is not complete (residual {residual:.3g})")
-    assignment = {e.label: 2 * (n - 1 - i) for i, e in enumerate(target.elements)}
-    if len(assignment) < n:
-        labels = [e.label for e in target.elements]
-        repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
-        raise ValidationError(f"target POVM gives the label {repeated!r} to more than one element")
+    assignment = _unique(((e.label, 2 * (n - 1 - i)) for i, e in enumerate(target.elements)),
+                         "target POVM label")
 
     pairs = []
     for k in range(n - 1):
@@ -239,9 +239,8 @@ def synthesize(target: PovmSet):
         pairs.append(IterationPair(np.vstack([r, low]), c2))
         g[k + 1:] = rest
 
-    # outcome i leaves at port 2(n-1-i): row 2(n-1) - i of the walk's Kraus maps
-    kraus = _propagate(2 * (n - 1), _layout(pairs), IDENTITY_COIN)[:n - 2:-1]
-    produced = kraus.conj().swapaxes(1, 2) @ kraus
+    # outcome i leaves at port 2(n-1-i): row 2(n-1) - i of the walk's effects
+    produced = _effects(2 * (n - 1), _layout(pairs))[:n - 2:-1]
     deviations = np.max(np.abs(produced - [e.matrix for e in target.elements]), axis=(1, 2))
     for e, deviation in zip(target.elements, deviations.tolist()):
         if not deviation <= DEFAULT.synthesis_roundtrip:

@@ -17,7 +17,8 @@ once, here: ``_integer`` (an int or numpy integer, never a bool, in a range),
 a bool or str) and ``validate_coin``, the one unitarity test.  A
 ``CoinSchedule`` checks its positions and coins once, when built, and finds its
 ports and interferometers once, on first use, by ``_reach``, the one reachability
-pass.  Complex values cross JSON as ``{"re", "im"}`` cells only.
+pass.  Complex values cross JSON as ``{"re", "im"}`` cells only, and a file
+reader takes no object that gives one key twice (``_loads``).
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def _unique(items, what: str) -> dict:
     return out
 
 
+def _loads(text: str):
+    """``json.loads`` in which an object that gives one key twice is an error naming the key."""
+    return json.loads(text, object_pairs_hook=lambda pairs: _unique(pairs, "key"))
+
+
 @contextmanager
 def decoding(what: str):
     """Report any failure to decode ``what`` from JSON as a ValidationError."""
@@ -232,7 +238,7 @@ class CoinSchedule:
             return cls([
                 _unique(((e["position"], complex_from_json(e["matrix"])) for e in raw["coins"]),
                         f"step {s}: position")
-                for s, raw in enumerate(json.loads(text)["steps"], start=1)
+                for s, raw in enumerate(_loads(text)["steps"], start=1)
             ])
 
 

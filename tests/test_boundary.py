@@ -11,7 +11,8 @@ same values as option text: exit 0, or exit 1 with ``error:``.
 
 Matrix and vector entries take no bool and no str, which numpy would read
 as the numbers 1 and 0, also in a list of numbers or a file cell.  A file
-that gives one position, displacer pair or port twice is malformed.
+that gives one position, displacer pair or port twice is malformed, and so
+is one in which an object gives one key twice.
 Counts in a ``CountTable`` sit in ``test_experiment.py``, and non-finite
 matrix and vector entries in ``test_walk.py``'s ``_BOUNDARIES``.  Records
 that take no input rule (``WalkState``, ``IterationPair``, ``SweepPoint``,
@@ -281,6 +282,11 @@ def _step_with_position_0_twice():
     return json.dumps({"steps": [{"coins": coins}]})
 
 
+def _coin_with_its_position_key_twice():
+    coin = json.dumps({"position": 0, "matrix": complex_to_json(NOT_COIN)})
+    return '{"steps": [{"coins": [%s]}]}' % coin.replace("{", '{"position": 1, ', 1)
+
+
 # file kind -> (its text, the CLI call that reads it from {path}, the repeat its error names)
 REPEATS = {
     "schedule position": (_step_with_position_0_twice(), ["extract", "--file", "{path}"],
@@ -293,13 +299,19 @@ REPEATS = {
                         ["sample", "--scenario", "trine", "--input", "H", "--imperfections",
                          "{path}"],
                         "malformed imperfection config: efficiency port 0 is given twice"),
+    # json.loads alone keeps the last value of a key an object gives twice
+    "schedule key": (_coin_with_its_position_key_twice(), ["extract", "--file", "{path}"],
+                     "malformed schedule file: key 'position' is given twice"),
+    "config key": ('{"visibilities": {"1-2": 0.5, "1-2": 0.9}}',
+                   ["sample", "--scenario", "trine", "--input", "H", "--imperfections", "{path}"],
+                   "malformed imperfection config: key '1-2' is given twice"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(REPEATS))
 def test_a_file_that_names_one_slot_twice_is_malformed(kind, tmp_path):
     text, argv, message = REPEATS[kind]
-    load = CoinSchedule.from_json if kind == "schedule position" else ImperfectionConfig.from_json
+    load = CoinSchedule.from_json if kind.startswith("schedule") else ImperfectionConfig.from_json
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load(text)
     path = tmp_path / "file.json"

@@ -157,6 +157,29 @@ def test_visibility_key_must_be_a_displacer_pair(key):
         ImperfectionConfig(visibilities={key: 0.5})
 
 
+def test_every_visibility_pair_the_constructor_accepts_round_trips():
+    # displacers are steps >= 1; (-1, 2) was accepted once and written as "-1-2",
+    # which from_json could not split back into a pair
+    entries = [-2, -1, 0, 1, 2, 7, 2**63, np.int64(3), np.int64(-1), True, 1.0, "1", None]
+    accepted = []
+    for a in entries:
+        for b in entries:
+            try:
+                cfg = ImperfectionConfig(visibilities={(a, b): 0.5})
+            except ValidationError:
+                continue
+            assert ImperfectionConfig.from_json(cfg.to_json()) == cfg, (a, b)
+            accepted.append((a, b))
+    assert {(int(a), int(b)) for a, b in accepted} == {
+        (a, b) for a in (1, 2, 3, 7, 2**63) for b in (1, 2, 3, 7, 2**63)}
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (0, 1), (1, 0), (2, -3)])
+def test_a_visibility_pair_names_displacer_steps(pair):
+    with pytest.raises(ValidationError, match=r"entry must be an integer >= 1, not -?\d"):
+        ImperfectionConfig(visibilities={pair: 0.5})
+
+
 def test_visibility_of_a_pair_that_is_not_an_interferometer_is_ignored():
     # a config may name pairs a schedule lacks (one file serves several scenarios), so the
     # SIC schedule, whose interferometers are (1, 2) and (3, 4), ignores (7, 8)

@@ -1,16 +1,20 @@
-"""Every function the traced benchmark wraps is still there under its name.
+"""Every name the benchmark reads from ``walkpovm`` is still there under its name.
 
 ``perfbench/tracing.py`` rebinds each ``TRACED`` (module, attribute) pair and
-``CoinSchedule.__init__`` by name, so deleting or renaming one of them breaks
-only the traced benchmark run.  The file is read and executed here, never
-imported, so no bytecode is written next to it.
+``CoinSchedule.__init__`` by name, and the workloads call the package through
+attributes such as ``povm.PovmSet.build``, so deleting or renaming one of them
+breaks only the benchmark run.  The files are read and parsed or executed
+here, never imported, so no bytecode is written next to them.
 """
 
+import ast
+import importlib
 from pathlib import Path
 
 from walkpovm import walk
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_name_is_an_attribute_of_its_module():
@@ -19,3 +23,47 @@ def test_every_traced_name_is_an_attribute_of_its_module():
     for module, attribute, span, _counter in namespace["TRACED"]:
         assert callable(getattr(module, attribute, None)), span
     assert "__init__" in vars(walk.CoinSchedule)
+
+
+def _bound_names(tree) -> dict:
+    """What ``import walkpovm`` and ``from walkpovm[.x] import y`` bind in one file."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "walkpovm":
+                    bound[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "walkpovm":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if value is None:  # a submodule not imported by its package
+                    value = importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = value
+    return bound
+
+
+def _attribute_chains(tree, bound):
+    """(dotted name, the names after the root) for every attribute chain on a bound name."""
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            yield ".".join([node.id, *reversed(parts)]), bound[node.id], parts[::-1]
+
+
+def test_every_package_attribute_the_benchmark_reads_exists():
+    # strings such as "cli.main_ms_p50" are metric names, not attributes, and are skipped
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for dotted, value, parts in _attribute_chains(tree, _bound_names(tree)):
+            for i, part in enumerate(parts):
+                assert hasattr(value, part), f"{path.name}: {'.'.join(dotted.split('.')[:i + 2])}"
+                value = getattr(value, part)
+            read.add(dotted)
+    assert {"povm.IterationPair", "povm.PovmSet.build", "optics.plates_matrix",
+            "walk.position_distribution", "povm.SynthesisInfeasibleError",
+            "walk.CoinSchedule.__init__", "DEFAULT.synthesis_roundtrip"} <= read

@@ -520,6 +520,45 @@ def test_a_repeated_label_is_named_before_peeling(monkeypatch):
     assert not isinstance(info.value, SynthesisInfeasibleError)
 
 
+def test_rows_from_one_batched_eigh_equal_rows_from_one_eigh_per_element():
+    # seeded targets for every n in [2, 64], plus the degenerate ones
+    rng = np.random.default_rng(77)
+    targets = [random_rank1_povm(rng, n) for n in range(2, 65)]
+    targets += _degenerate_targets().values()
+    for mats in targets:
+        elements = [PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)]
+        single = []
+        for e in elements:
+            vals, vecs = np.linalg.eigh(e.matrix)
+            single.append(np.sqrt(max(vals[1], 0.0)) * vecs[:, 1].conj())
+        assert np.array_equal(povm._rows(elements), np.array(single))
+
+
+def test_synthesize_makes_one_eigh_call_per_target(monkeypatch):
+    real_eigh, calls = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(8)
+    targets = [PovmSet.build(PovmElement(m, f"o{i}", i)
+                             for i, m in enumerate(random_rank1_povm(rng, n))) for n in (2, 5, 64)]
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for target in targets:
+        synthesize(target)
+    assert calls == [(2, 2, 2), (5, 2, 2), (64, 2, 2)]
+
+
+def test_the_first_of_two_elements_that_are_not_rank_1_is_named():
+    mixed = 0.25 * I2
+    effects = [projector([1, 0], 0.5), mixed, projector([0, 1], 0.5), mixed]
+    for mats, first in [(effects, "o1"), (effects[::-1], "o0")]:
+        target = PovmSet.build(PovmElement(m, f"o{i}", 0) for i, m in enumerate(mats))
+        with pytest.raises(ValidationError, match=f"^element {first} is not rank 1$"):
+            synthesize(target)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("coin", ["c1", "c2"])
 def test_build_circuit_names_a_bad_coin_by_step_and_position(k, coin):

@@ -256,6 +256,18 @@ def test_run_density_edge_schedules(name):
         assert got[-t] > 0.01 and got[t] > 0.01
 
 
+def test_effects_are_k_dagger_k_of_each_port():
+    # the one batched read-out equals a 2x2 product per port, bit for bit
+    schedules = [s for pair in edge_schedules().values() for s in pair if s is not None]
+    for schedule in schedules + all_schedules():
+        t = schedule.n_steps
+        kraus = walk._propagate(t, schedule.steps, walk.IDENTITY_COIN)
+        effects = povm._effects(t, schedule.steps)
+        assert effects.shape == (t + 1, 2, 2)
+        for k in range(t + 1):
+            assert np.array_equal(effects[k], kraus[k].conj().T @ kraus[k]), (t, k)
+
+
 def test_coins_off_the_lattice_act_on_nothing():
     base = povm.scenario_schedule("trine")
     far = walk.CoinSchedule([{**coins, 100: walk.NOT_COIN, -100: walk.NOT_COIN}

@@ -176,12 +176,30 @@ _MALFORMED = (
     + [(ImperfectionConfig.from_json, text) for text in ["{not json", "[]", '{"visibilities": {"1-2-3": 0.9}}',
                                                           '{"port_efficiencies": {"x": 0.9}}']]
 )
+# a JSON object that gives one key twice, which json.loads alone reads as its last value:
+# (reader, text, the file its error names, the key)
+_REPEATED_KEYS = [
+    (ImperfectionConfig.from_json, '{"visibilities": {"1-2": 0.5, "1-2": 0.9}}',
+     "imperfection config", "1-2"),
+    (CoinSchedule.from_json,
+     '{"steps": [{"coins": [{"position": 0, "position": 1, "matrix": [[%s, %s], [%s, %s]]}]}]}'
+     % ((_CELL,) * 4), "schedule file", "position"),
+    (PovmSet.from_json, '{"elements": [], "elements": []}', "POVM file", "elements"),
+]
+_MALFORMED += [(decode, text) for decode, text, _file, _key in _REPEATED_KEYS]
 
 
 @pytest.mark.parametrize("decode,text", _MALFORMED,
                          ids=[f"{d.__self__.__name__}-{i}" for i, (d, _t) in enumerate(_MALFORMED)])
 def test_malformed_json_is_a_validation_error(decode, text):
     with pytest.raises(ValidationError, match="^malformed "):
+        decode(text)
+
+
+@pytest.mark.parametrize("decode,text,file,key", _REPEATED_KEYS,
+                         ids=[d.__self__.__name__ for d, *_rest in _REPEATED_KEYS])
+def test_a_key_given_twice_is_named(decode, text, file, key):
+    with pytest.raises(ValidationError, match=f"^malformed {file}: key '{key}' is given twice$"):
         decode(text)
 
 
