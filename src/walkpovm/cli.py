@@ -44,20 +44,23 @@ def parse_angle(text: str) -> float:
     t = text.strip()
     unit = next((u for u in ("°", "deg") if t.lower().endswith(u)), "")
     try:
-        value = float(t[:len(t) - len(unit)])
-    except ValueError as exc:
+        value = walk._numeral(t[:len(t) - len(unit)].rstrip(), "angle", float)
+    except ValidationError as exc:
         raise ValidationError(f"cannot parse angle {text!r}") from exc
     if not math.isfinite(value):
         raise ValidationError(f"angle {text!r} is not finite")
     return math.radians(value) if unit else value
 
 
-def _angle_option(text: str) -> float:
-    """``--theta``: argparse reports a ``type`` function's ValueError without its reason."""
-    try:
-        return parse_angle(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _option(parse):
+    """An option's ``type``: argparse reports a ``type`` function's ValueError without its
+    reason, so ``parse``'s ValidationError goes out as the ArgumentTypeError argparse quotes."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return read
 
 
 def parse_state(text: str, theta: float | None) -> np.ndarray:
@@ -84,10 +87,13 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
 
 
 def _photon_count(text: str, command: str) -> int:
-    """``--counts`` as the photon count that ``command`` samples."""
-    if not text.strip().isdecimal():
-        raise ValidationError(f"{command} requires --counts to be a photon count, not {text!r}")
-    return int(text)
+    """``--counts`` as the photon count that ``command`` samples; ``sample_counts`` checks
+    its range."""
+    try:
+        return walk._numeral(text, "--counts")
+    except ValidationError as exc:
+        raise ValidationError(
+            f"{command} requires --counts to be a photon count, not {text!r}") from exc
 
 
 def _read_text(path: str, what: str) -> str:
@@ -231,7 +237,7 @@ def build_parser() -> _Parser:
         if schedule:
             p.add_argument("--scenario", choices=["trine", "sic", "usd"])
             p.add_argument("--file", help="custom schedule JSON file")
-            p.add_argument("--theta", type=_angle_option,
+            p.add_argument("--theta", type=_option(parse_angle),
                            help="angle in radians, or degrees with a ° / deg suffix")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write to a file instead of stdout")
@@ -241,7 +247,7 @@ def build_parser() -> _Parser:
         p.add_argument("--counts", default=counts, help=help)
         p.add_argument("--imperfections", default="none",
                        help="imperfection config JSON file, or 'none'")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_option(lambda t: walk._numeral(t, "seed")), default=0)
 
     for name, help, counts, counts_help in (
         ("run", "simulate a measurement scenario", "ideal", "'ideal' (default) or a photon count"),
@@ -253,7 +259,8 @@ def build_parser() -> _Parser:
         sampling(p, counts, counts_help)
 
     p = command("extract", _cmd_extract, "extract the implemented POVM")
-    p.add_argument("--tolerance", type=float, default=DEFAULT.completeness)
+    p.add_argument("--tolerance", type=_option(lambda t: walk._numeral(t, "tolerance", float)),
+                   default=DEFAULT.completeness)
 
     command("compile", _cmd_compile, "compile to an optical netlist")
 

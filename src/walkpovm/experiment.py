@@ -35,8 +35,8 @@ import numpy as np
 from .povm import (_layout, _usd_angle, _usd_columns, _usd_peel, usd_scenario,
                    usd_success_probability)
 from .tolerances import DEFAULT
-from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _loads, _reach, _real,
-                   _unique, coin_column, decoding)
+from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _loads, _numeral, _reach,
+                   _real, _unique, coin_column, decoding)
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,11 @@ class ImperfectionConfig:
             vis = []
             for key, v in data.get("visibilities", {}).items():
                 a, b = key.split("-")
-                vis.append(((int(a), int(b)), v))
+                vis.append(((_numeral(a, f"visibility key {key!r} entry"),
+                             _numeral(b, f"visibility key {key!r} entry")), v))
             # "1-2" and "01-2" name one pair, "0" and "00" one port
-            eff = ((int(p), e) for p, e in data.get("port_efficiencies", {}).items())
+            eff = ((_numeral(p, "efficiency port"), e)
+                   for p, e in data.get("port_efficiencies", {}).items())
             return cls(_unique(vis, "visibility pair"), _unique(eff, "efficiency port"),
                        data.get("imbalance_budget", 0.05))
 

@@ -99,6 +99,13 @@ class WavePlate:
         return hwp(self.angle_deg) if self.kind == "HWP" else qwp(self.angle_deg)
 
 
+def _plate(kind: str, angle_deg: float, position: int, step: int) -> WavePlate:
+    """A ``WavePlate`` of fields already checked, in the form ``__init__`` gives them."""
+    plate = object.__new__(WavePlate)
+    plate.__dict__.update(kind=kind, angle_deg=angle_deg, position=position, step=step)
+    return plate
+
+
 @dataclass(frozen=True)
 class OpticalNetlist:
     """Compiled hardware description: displacer count, plates, ports, interferometers."""
@@ -178,6 +185,9 @@ def _lower(us: np.ndarray, slots=None) -> list:
     Candidate classes go fewest plates first, each solving and verifying at
     once the pending coins its gate passes; a coin whose candidate fails
     stays pending.  ``slots`` (position, step) label the plates and errors.
+    The plates are checked once, as arrays: a verified product leaves no
+    non-finite angle, so each class's angles are taken mod 180 in one array
+    and become ``_plate`` records, with no ``WavePlate.__init__`` per plate.
     """
     r, plates = _so3(us), [None] * len(us)
     pending = np.ones(len(us), dtype=bool)
@@ -192,9 +202,10 @@ def _lower(us: np.ndarray, slots=None) -> list:
             product = product @ (hwp if kind == "HWP" else qwp)(angles[:, k])
         ok = _phase_aligned_dist(product, us[idx]) <= DEFAULT.plate_product
         pending[idx[ok]] = False
-        for i, row in zip(idx[ok].tolist(), angles[ok].tolist()):
+        # the angle mod 180 twice, as WavePlate takes it, for the whole class at once
+        for i, row in zip(idx[ok].tolist(), (angles[ok] % 180.0 % 180.0).tolist()):
             x, s = slots[i] if slots else (0, 0)
-            plates[i] = [WavePlate(kind, a, x, s) for kind, a in zip(kinds, row)]
+            plates[i] = [_plate(kind, a, x, s) for kind, a in zip(kinds, row)]
 
     tol = DEFAULT.so3_pattern
     in_plane = np.abs(r[:, 1, 1]) <= tol  # r maps y into the x-z plane
@@ -259,7 +270,8 @@ def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
     for a seeded Haar coin on every site of a 4-step walk, 0.59 away in
     operator norm.  Peel-off circuits lose nothing, since c1 sits alone in its
     step and c2 and the NOT beside it are exactly half-wave plates.  ROADMAP
-    item 2 keeps the slot phases.
+    item 2 keeps the slot phases.  The plates are checked once, as arrays, by
+    ``_lower``'s plate products; the schedule has checked the slots.
     """
     slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
     us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)

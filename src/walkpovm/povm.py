@@ -181,11 +181,13 @@ def _effects(t: int, steps) -> np.ndarray:
     return kraus.conj().swapaxes(1, 2) @ kraus
 
 
-def _orthonormal_completion(row: np.ndarray) -> np.ndarray:
-    """Unit row orthogonal to the unit ``row`` whose first nonzero entry is real positive."""
-    comp = np.array([-np.conj(row[1]), np.conj(row[0])])
-    entry = comp[0] if abs(comp[0]) > DEFAULT.norm else comp[1]
-    return comp * (np.conj(entry) / abs(entry))
+def _orthonormal_completion(row) -> np.ndarray:
+    """Unit row orthogonal to the unit ``row``, a pair of complex numbers, whose first
+    nonzero entry is real positive."""
+    comp0, comp1 = -row[1].conjugate(), row[0].conjugate()
+    entry = comp0 if abs(comp0) > DEFAULT.norm else comp1
+    phase = entry.conjugate() / abs(entry)
+    return np.array([comp0 * phase, comp1 * phase])
 
 
 def _rows(elements) -> np.ndarray:
@@ -205,10 +207,12 @@ def synthesize(target: PovmSet):
     (a, b) = (|g_k|, b) normalised, or the identity when b is negligible;
     taking b from the rows rather than from sqrt(1 - a^2) keeps coins and
     rows consistent when a^2 + b^2 is off 1 by rounding or by up to the
-    completeness gate.  Outcome i goes to port 2(n-1-i).  The rows come
-    from one ``eigh``, and ``_effects`` of the layout checks the circuit:
-    each element must equal K^dag K at its port.  A repeated label is
-    rejected, since the labels key the outcome->port map.
+    completeness gate.  Outcome i goes to port 2(n-1-i).  The 2-vector
+    arithmetic of a peel runs on Python scalars; numpy only rewrites the
+    remaining rows.  The rows come from one ``eigh``, and ``_effects`` of
+    the layout checks the circuit: each element must equal K^dag K at its
+    port.  A repeated label is rejected, since the labels key the
+    outcome->port map.
     """
     n = len(target.elements)
     if n < 2:
@@ -221,13 +225,16 @@ def synthesize(target: PovmSet):
     assignment = _unique(((e.label, 2 * (n - 1 - i)) for i, e in enumerate(target.elements)),
                          "target POVM label")
 
-    pairs = []
-    for k in range(n - 1):
-        a = float(np.linalg.norm(g[k]))
-        r = g[k] / a if a > DEFAULT.norm else np.array([1.0 + 0j, 0.0 + 0j])
-        low = _orthonormal_completion(r)
-        rest = g[k + 1:] @ np.array([low, r]).conj().T
-        c = float(np.linalg.norm(rest[:, 1]))
+    pairs, rest = [], g
+    for _ in range(n - 1):
+        (g0, g1), rest = rest[0].tolist(), rest[1:]
+        a = math.hypot(g0.real, g0.imag, g1.real, g1.imag)
+        r0, r1 = (g0 / a, g1 / a) if a > DEFAULT.norm else (1.0 + 0j, 0j)
+        low0, low1 = _orthonormal_completion((r0, r1)).tolist()
+        # the remaining rows' components along low and along r
+        rest = rest @ np.array([[low0.conjugate(), r0.conjugate()],
+                                [low1.conjugate(), r1.conjugate()]])
+        c = math.sqrt(np.vdot(rest[:, 1], rest[:, 1]).real)
         h = math.hypot(a, c) or 1.0
         a, b = a / h, c / h
         if b <= DEFAULT.norm:
@@ -236,8 +243,7 @@ def synthesize(target: PovmSet):
         else:
             c2 = np.array([[a, b], [b, -a]], dtype=complex)
             rest[:, 1] /= c
-        pairs.append(IterationPair(np.vstack([r, low]), c2))
-        g[k + 1:] = rest
+        pairs.append(IterationPair(np.array([[r0, r1], [low0, low1]]), c2))
 
     # outcome i leaves at port 2(n-1-i): row 2(n-1) - i of the walk's effects
     produced = _effects(2 * (n - 1), _layout(pairs))[:n - 2:-1]

@@ -13,12 +13,13 @@ data.  The three walkers, ``_propagate``, ``_reach`` and
 position -> coin maps that they do not check, so a caller may walk coins it
 made unitary itself without building a schedule.  Each input rule is written
 once, here: ``_integer`` (an int or numpy integer, never a bool, in a range),
-``_real`` (a finite real in a range), ``_complex`` (an array of numbers, never
-a bool or str) and ``validate_coin``, the one unitarity test.  A
-``CoinSchedule`` checks its positions and coins once, when built, and finds its
-ports and interferometers once, on first use, by ``_reach``, the one reachability
-pass.  Complex values cross JSON as ``{"re", "im"}`` cells only, and a file
-reader takes no object that gives one key twice (``_loads``).
+``_real`` (a finite real in a range), ``_numeral`` (a number written as text),
+``_complex`` (an array of numbers, never a bool or str) and ``validate_coin``,
+the one unitarity test.  A ``CoinSchedule`` checks its positions and coins once,
+when built, and finds its ports and interferometers once, on first use, by
+``_reach``, the one reachability pass.  Complex values cross JSON as
+``{"re", "im"}`` cells only, and a file reader takes no object that gives one
+key twice (``_loads``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> 
     within = "" if (low, high) == (-math.inf, math.inf) else (
         f" in {'(' if open_low else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}")
     raise _RuleError(f"{what} must be a finite number{within}, not {value!r}")
+
+
+def _numeral(text: str, what: str, kind=int):
+    """A number written as text, read by ``kind`` (int or float): ASCII only, no ``_`` and no
+    surrounding space.  An int is an optional ``-`` and digits; leading zeros are legal."""
+    digits = text[1:] if text.startswith("-") else text
+    if (text.isascii() and "_" not in text and text == text.strip()
+            and (kind is float or digits.isdigit())):
+        try:
+            return kind(text)
+        except ValueError:  # float("x"), or more digits than int() reads
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise _RuleError(f"{what} must be {noun} written in plain ASCII, not {text!r}")
 
 
 def _complex(value, what, *args) -> np.ndarray:

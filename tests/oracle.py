@@ -25,7 +25,10 @@ These are the engines the package used before the array propagator in
 * the scalar closed-form chain ``_candidates``/``_pair``/``_lower``,
   which builds one candidate per plate count for one coin and verifies
   each in turn, where ``optics._lower`` now solves and verifies a whole
-  stack of coins one candidate class at a time.
+  stack of coins one candidate class at a time;
+* the numpy peel ``peel``/``_completion``, which does each peel's 2-vector
+  arithmetic with numpy calls, where ``povm.synthesize`` now does it on
+  Python scalars.
 
 ``tests/test_propagator.py``, ``tests/test_optics.py`` and
 ``tests/test_experiment.py`` hold the package to these on random
@@ -58,6 +61,7 @@ from walkpovm.povm import (
 )
 from walkpovm.tolerances import DEFAULT
 from walkpovm.walk import (
+    IDENTITY_COIN,
     L,
     R,
     ValidationError,
@@ -471,3 +475,37 @@ def _lower(u: np.ndarray) -> list:
         if _phase_aligned_dist(plates_matrix(plates), u) <= DEFAULT.plate_product:
             return plates
     raise ValidationError("no wave-plate decomposition found (input not unitary?)")
+
+
+def _completion(row: np.ndarray) -> np.ndarray:
+    """Unit row orthogonal to the unit ``row`` whose first nonzero entry is real positive."""
+    comp = np.array([-np.conj(row[1]), np.conj(row[0])])
+    entry = comp[0] if abs(comp[0]) > DEFAULT.norm else comp[1]
+    return comp * (np.conj(entry) / abs(entry))
+
+
+def peel(rows: np.ndarray) -> list:
+    """(c1, c2) of each peel-off iteration for the rows f_i of an n x 2 isometry.
+
+    Iteration k peels row g_k with c1 = [r; low] and rewrites the rows after
+    it in the frame (low, r), the component along r scaled to unit norm.
+    """
+    g = np.array(rows, dtype=complex)
+    coins = []
+    for k in range(len(g) - 1):
+        a = float(np.linalg.norm(g[k]))
+        r = g[k] / a if a > DEFAULT.norm else np.array([1.0 + 0j, 0.0 + 0j])
+        low = _completion(r)
+        rest = g[k + 1:] @ np.array([low, r]).conj().T
+        c = float(np.linalg.norm(rest[:, 1]))
+        h = math.hypot(a, c) or 1.0
+        a, b = a / h, c / h
+        if b <= DEFAULT.norm:
+            c2 = IDENTITY_COIN
+            rest[:, 1] = 0.0
+        else:
+            c2 = np.array([[a, b], [b, -a]], dtype=complex)
+            rest[:, 1] /= c
+        coins.append((np.vstack([r, low]), c2))
+        g[k + 1:] = rest
+    return coins

@@ -7,7 +7,9 @@ config.  For every hostile value a slot either raises ``ValidationError``,
 or accepts it, and then ``from_json(to_json(x))`` equals x wherever x has a
 JSON form.  Each slot also names the values it accepts, so a rule that
 starts taking a bool or truncating a float fails here.  The CLI gets the
-same values as option text: exit 0, or exit 1 with ``error:``.
+same values as option text: exit 0, or exit 1 with ``error:``.  A number
+written as text, an option or a config file key, is plain ASCII with no
+``_`` and no surrounding space, which Python's ``int()`` and ``float()`` allow.
 
 Matrix and vector entries take no bool and no str, which numpy would read
 as the numbers 1 and 0, also in a list of numbers or a file cell.  A file
@@ -322,3 +324,43 @@ def test_a_file_that_names_one_slot_twice_is_malformed(kind, tmp_path):
     assert code == 1
     assert err.getvalue() == f"error: {message}\n"
     assert out.getvalue() == ""
+
+
+_SAMPLE = ["sample", "--scenario", "sic", "--input", "psi4-1", "--counts", "100"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SAMPLE, "--seed", "1_0"],
+    [*_SAMPLE, "--seed", "\uff14"],  # a fullwidth digit
+    [*_SAMPLE, "--seed", " 1"],
+    [*_SAMPLE, "--seed", "+1"],
+    ["sample", "--scenario", "sic", "--input", "psi4-1", "--counts", "\uff14\uff10\uff10\uff10"],
+    ["sample", "--scenario", "sic", "--input", "psi4-1", "--counts", "4_000"],
+    ["sweep", "--thetas", "0_1", "--counts", "100"],
+    ["sweep", "--thetas", "\u0661", "--counts", "100"],  # an Arabic-Indic one
+    ["run", "--scenario", "usd", "--theta", "0.5\u0663", "--input", "psi+"],
+    ["extract", "--scenario", "sic", "--tolerance", "1_0"],
+    ["extract", "--scenario", "sic", "--tolerance", "1e-9 "],
+    ["sample", "--scenario", "sic", "--input", "psi4-1", "--imperfections", "{path}"],
+], ids=["seed-underscore", "seed-fullwidth", "seed-space", "seed-plus", "counts-fullwidth",
+        "counts-underscore", "thetas-underscore", "thetas-arabic-indic", "theta-arabic-indic",
+        "tolerance-underscore", "tolerance-space", "config-pair-underscore"])
+def test_a_number_written_as_text_is_plain_ascii(argv, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"visibilities": {"1_0-2": 0.5}}')
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([a.format(path=path) for a in argv])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert out.getvalue() == ""
+
+
+def test_a_number_written_with_leading_zeros_is_the_number():
+    outs = []
+    for seed, counts in (("7", "100"), ("07", "0100")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([*_SAMPLE[:-1], counts, "--seed", seed, "--format", "csv"]) == 0
+        outs.append(out.getvalue())
+    assert outs[0] == outs[1]

@@ -436,3 +436,21 @@ def test_sweep_takes_an_angle_just_above_90_degrees_as_90_degrees():
     code, out = invoke("sweep", "--thetas", "90.00000000005°,-90.00000000005°")
     assert code == 0
     assert out == invoke("sweep", "--thetas", "90°,-90°")[1]
+
+
+def test_the_cli_imports_only_the_standard_library_beyond_numpy():
+    # every workload's set-up time and every CLI call pay for this import set in a
+    # fresh interpreter, which also compiles src/ again where bytecode is not written
+    probe = ("import json, sys\n"
+             "import numpy\n"
+             "before = set(sys.modules)\n"
+             "import walkpovm.cli\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    added = json.loads(result.stdout)
+    assert "walkpovm.cli" in added
+    foreign = [name for name in added if name.split(".")[0] != "walkpovm"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

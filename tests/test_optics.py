@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from conftest import assert_equal_upto_phase, random_rank1_povm, random_unitary
-from walkpovm import optics, povm
+from walkpovm import optics, povm, walk
 from walkpovm.experiment import ImperfectionConfig, run_density
 from walkpovm.optics import (
     WavePlate,
@@ -450,6 +450,52 @@ def test_plates_of_a_full_lattice_schedule_measure_its_povm():
     schedule = CoinSchedule([{x: random_unitary(rng) for x in range(1 - s, s, 2)}
                              for s in range(1, 5)])
     assert _povm_moved_by_plates(schedule) <= 1e-12
+
+
+def _compiled_schedules() -> dict:
+    """The peel-off circuits above plus Haar coins on every site of walks of 1 to 6 steps."""
+    rng = np.random.default_rng(8)
+    schedules = _peel_off_circuits()
+    for t in range(1, 7):
+        schedules[f"haar-t{t}"] = CoinSchedule(
+            [{x: random_unitary(rng) for x in range(1 - s, s, 2)} for s in range(1, t + 1)])
+    return schedules
+
+
+def test_each_compiled_plate_is_the_plate_its_constructor_checks():
+    # compile_netlist builds its plates without WavePlate.__init__; each must be the
+    # checked plate its fields give, down to the type of every field
+    fields = [f.name for f in dataclasses.fields(WavePlate)]
+    for name, schedule in _compiled_schedules().items():
+        plates = compile_netlist(schedule).plates
+        assert plates, name
+        for p in plates:
+            q = WavePlate(p.kind, p.angle_deg, p.position, p.step)
+            assert p == q and hash(p) == hash(q), (name, p)
+            assert list(vars(p).items()) == list(vars(q).items()), (name, p)
+            assert [type(getattr(p, f)) for f in fields] == [type(getattr(q, f)) for f in fields]
+
+
+def test_compile_netlist_checks_no_plate_again(monkeypatch):
+    # _lower verifies every plate product, so no plate is checked again one by one
+    schedules = list(_compiled_schedules().values())  # built, so their checks are done
+    calls = []
+
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(WavePlate, "__init__", counting("__init__", WavePlate.__init__))
+    for module in (walk, optics):
+        for name in ("_real", "_integer"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for schedule in schedules:
+        compile_netlist(schedule)
+    assert calls == []
+    WavePlate("HWP", 10.0)  # the counters see the checks a caller's plate runs
+    assert calls == ["__init__", "_real", "_integer", "_integer"]
 
 
 # --- state preparation -------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from conftest import random_rank1_povm, random_unitary
 from walkpovm import optics, povm, walk
 from walkpovm.experiment import ImperfectionConfig, run_density, usd_sweep
@@ -447,6 +448,34 @@ def test_usd_port_map_is_derived_by_extraction(theta):
     assert np.vdot(plus, effects[ports["minus"]] @ plus).real < 1e-12
     conclusive = np.vdot(plus, effects[ports["plus"]] @ plus).real
     assert conclusive == pytest.approx(usd_success_probability(theta), rel=1e-9)
+
+
+def _peel_targets() -> dict:
+    """Seeded targets with n = 2..64, one with a zero row and one whose first peel has b = 0."""
+    rng = np.random.default_rng(41)
+    targets = {f"n{n}": random_rank1_povm(rng, n) for n in range(2, 65)}
+    trine = [projector(NAMED_STATES[f"psi3-{i}"], 2 / 3) for i in (1, 2, 3)]
+    targets["zero-row"] = [trine[0], np.zeros((2, 2)), trine[1], trine[2]]
+    # the rows after |H> have no component along it, so c2 of the first pair is the identity
+    targets["b-zero"] = [projector([1, 0], 1.0), projector([0, 1], 0.5), projector([0, 1], 0.5)]
+    return {name: PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
+            for name, mats in targets.items()}
+
+
+def test_the_scalar_peel_equals_the_numpy_peel():
+    # synthesize peels on Python scalars; oracle.peel does the same arithmetic with numpy
+    # calls, so the coins agree to rounding
+    targets = _peel_targets()
+    for name, target in targets.items():
+        pairs, _ = synthesize(target)
+        ref = oracle.peel(povm._rows(target.elements))
+        assert len(pairs) == len(ref), name
+        for k, (p, (c1, c2)) in enumerate(zip(pairs, ref)):
+            assert np.max(np.abs(p.c1 - c1)) <= 1e-12, (name, k, "c1")
+            assert np.max(np.abs(p.c2 - c2)) <= 1e-12, (name, k, "c2")
+    # the degenerate branches are taken: r = (1, 0) for the zero row, c2 = 1 for b = 0
+    np.testing.assert_array_equal(synthesize(targets["zero-row"])[0][1].c1[0], [1.0, 0.0])
+    np.testing.assert_array_equal(synthesize(targets["b-zero"])[0][0].c2, I2)
 
 
 def test_each_coin_is_checked_once(monkeypatch):

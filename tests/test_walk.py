@@ -187,6 +187,12 @@ _REPEATED_KEYS = [
     (PovmSet.from_json, '{"elements": [], "elements": []}', "POVM file", "elements"),
 ]
 _MALFORMED += [(decode, text) for decode, text, _file, _key in _REPEATED_KEYS]
+# a number written as text is ASCII, with no "_" and no surrounding space, which int() allows
+_MALFORMED += [(ImperfectionConfig.from_json, text) for text in [
+    '{"visibilities": {"1_0-2": 0.5}}', '{"port_efficiencies": {"1_0": 0.99}}',
+    '{"visibilities": {" 1-2 ": 0.5}}', '{"visibilities": {"+1-2": 0.5}}',
+    '{"port_efficiencies": {"\uff14": 0.99}}', '{"visibilities": {"\u0661-\u0662": 0.5}}',
+]]
 
 
 @pytest.mark.parametrize("decode,text", _MALFORMED,
