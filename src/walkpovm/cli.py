@@ -76,8 +76,8 @@ def parse_state(text: str, theta: float | None) -> np.ndarray:
         parts = name.split(":")
         if len(parts) == 2:
             try:
-                v = np.array([complex(parts[0]), complex(parts[1])])
-            except ValueError as exc:
+                v = np.array([walk._numeral(part, "state entry", complex) for part in parts])
+            except ValidationError as exc:
                 raise ValidationError(f"cannot parse state {text!r}") from exc
             nrm = walk._norm(v)
             if not DEFAULT.norm <= nrm < math.inf:
@@ -196,8 +196,9 @@ def _cmd_extract(args):
         )
     header = ["label", "port", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im", "residual"]
-    rows = [[e.label, e.port, *(part for m in e.matrix.flat for part in (m.real, m.imag)),
-             result.completeness_residual] for e in result.elements]
+    rows = [[label, port, *(part for m in effect.flat for part in (m.real, m.imag)),
+             result.completeness_residual]
+            for effect, label, port in zip(result.effects, result.labels, result.ports)]
     return json.loads(result.to_json()), header, rows
 
 

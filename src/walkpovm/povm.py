@@ -20,6 +20,10 @@ construction, so the circuit is checked by ``_effects`` of its layout,
 the K^dag K read-out ``extract_povm`` shares, with no schedule and no
 ``PovmElement``; ``usd_sweep`` walks the same layout with peel coins.
 
+A POVM is a ``PovmSet``: one read-only (n, 2, 2) stack of effects with
+labels and ports.  ``PovmSet.build`` and ``from_json`` check each effect
+through ``PovmElement``; ``extract_povm`` and ``synthesize`` read stacks.
+
 ``NAMED_STATES`` holds the paper's input states by label: ``H``, ``V``,
 the trine states ``psi3-i``, the SIC states ``psi4-i`` and the states
 ``psibar3-i``, ``psibar4-i`` orthogonal to them.  Its vectors are read-only.
@@ -31,6 +35,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -41,6 +46,7 @@ from .walk import (
     NOT_COIN,
     CoinSchedule,
     ValidationError,
+    _RuleError,
     _complex,
     _integer,
     _loads,
@@ -72,13 +78,15 @@ class SynthesisInfeasibleError(ValidationError):
 
 @dataclass(frozen=True, eq=False)
 class PovmElement:
-    """A 2x2 positive-semidefinite effect with an outcome label and port."""
+    """A 2x2 positive-semidefinite effect with an outcome label (a str) and port."""
 
     matrix: np.ndarray
     label: str
     port: int
 
     def __init__(self, matrix, label: str, port: int):
+        if not isinstance(label, str):
+            raise _RuleError(f"element label must be a string, not {label!r}")
         m = _complex(matrix, f"element {label}: matrix")
         if m.shape != (2, 2):
             raise ValidationError(f"element {label}: matrix must be 2x2")
@@ -98,31 +106,42 @@ class PovmElement:
         object.__setattr__(self, "port", _integer(port, f"element {label}: port"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Ordered POVM elements plus the operator-norm distance of their sum from 1."""
+    """A POVM as one read-only (n, 2, 2) stack of effects, with a label and a port each.
 
-    elements: tuple
-    completeness_residual: float
+    ``build`` and ``from_json`` check each effect through ``PovmElement``.  The
+    constructor checks nothing: it is for stacks the package computes, such as
+    ``extract_povm``'s.  ``completeness_residual`` (the operator-norm distance of
+    the effects' sum from 1) and ``elements`` (checked records) are built on first read.
+    """
+
+    effects: np.ndarray
+    labels: tuple
+    ports: tuple
+
+    def __post_init__(self):
+        self.effects.setflags(write=False)
+
+    @cached_property
+    def completeness_residual(self) -> float:
+        return float(np.linalg.norm(self.effects.sum(axis=0) - np.eye(2), ord=2))
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(map(PovmElement, self.effects, self.labels, self.ports))
 
     @classmethod
     def build(cls, elements) -> "PovmSet":
         elems = tuple(elements)
-        total = sum((e.matrix for e in elems), np.zeros((2, 2), dtype=complex))
-        residual = float(np.linalg.norm(total - np.eye(2), ord=2))
-        return cls(elems, residual)
-
-    def element_at_port(self, port: int) -> PovmElement:
-        for e in self.elements:
-            if e.port == port:
-                return e
-        raise KeyError(f"no element at port {port}")
+        return cls(np.array([e.matrix for e in elems], dtype=complex).reshape(-1, 2, 2),
+                   tuple(e.label for e in elems), tuple(e.port for e in elems))
 
     def to_json(self) -> str:
         payload = {
             "elements": [
-                {"label": e.label, "port": e.port, "matrix": complex_to_json(e.matrix)}
-                for e in self.elements
+                {"label": label, "port": port, "matrix": complex_to_json(m)}
+                for m, label, port in zip(self.effects, self.labels, self.ports)
             ],
             "residual": self.completeness_residual,
         }
@@ -163,13 +182,16 @@ def build_circuit(pairs) -> CoinSchedule:
 
 
 def extract_povm(schedule: CoinSchedule) -> PovmSet:
-    """Recover the POVM a schedule implements: ``_effects`` at every port a basis state reaches."""
+    """Recover the POVM a schedule implements: ``_effects`` at every port a basis state reaches.
+
+    The schedule checked its coins, so the effects are made exactly Hermitian, not checked.
+    """
     t = schedule.n_steps
     effects = _effects(t, schedule.steps)
-    return PovmSet.build(
-        PovmElement(effects[k], f"E{2 * k - t}", 2 * k - t)
-        for k in np.flatnonzero(effects.any(axis=(1, 2))).tolist()
-    )
+    k = np.flatnonzero(effects.any(axis=(1, 2)))
+    kept, ports = effects[k], (2 * k - t).tolist()
+    return PovmSet(0.5 * (kept + kept.conj().swapaxes(1, 2)),
+                   tuple(f"E{x}" for x in ports), tuple(ports))
 
 
 def _effects(t: int, steps) -> np.ndarray:
@@ -190,11 +212,11 @@ def _orthonormal_completion(row) -> np.ndarray:
     return np.array([comp0 * phase, comp1 * phase])
 
 
-def _rows(elements) -> np.ndarray:
-    """Rows f_i with E_i = f_i^dag f_i, from one ``eigh`` of the stacked effects."""
-    vals, vecs = np.linalg.eigh(np.array([e.matrix for e in elements]))
+def _rows(target: PovmSet) -> np.ndarray:
+    """Rows f_i with E_i = f_i^dag f_i, from one ``eigh`` of the target's effects."""
+    vals, vecs = np.linalg.eigh(target.effects)
     if (wide := vals[:, 0] > DEFAULT.rank_one).any():
-        raise ValidationError(f"element {elements[wide.argmax()].label} is not rank 1")
+        raise ValidationError(f"element {target.labels[wide.argmax()]} is not rank 1")
     return np.sqrt(np.maximum(vals[:, 1], 0.0))[:, None] * vecs[:, :, 1].conj()
 
 
@@ -214,15 +236,15 @@ def synthesize(target: PovmSet):
     port.  A repeated label is rejected, since the labels key the
     outcome->port map.
     """
-    n = len(target.elements)
+    n = len(target.labels)
     if n < 2:
         raise ValidationError("a POVM needs at least two outcomes")
-    g = _rows(target.elements)
-    # the residual of the rows actually peeled, not the one the target carries
+    g = _rows(target)
+    # the residual of the rows actually peeled, not of the target's effects
     residual = float(np.linalg.norm(g.conj().T @ g - np.eye(2), ord=2))
     if residual >= DEFAULT.completeness:
         raise ValidationError(f"target POVM is not complete (residual {residual:.3g})")
-    assignment = _unique(((e.label, 2 * (n - 1 - i)) for i, e in enumerate(target.elements)),
+    assignment = _unique(((label, 2 * (n - 1 - i)) for i, label in enumerate(target.labels)),
                          "target POVM label")
 
     pairs, rest = [], g
@@ -247,10 +269,10 @@ def synthesize(target: PovmSet):
 
     # outcome i leaves at port 2(n-1-i): row 2(n-1) - i of the walk's effects
     produced = _effects(2 * (n - 1), _layout(pairs))[:n - 2:-1]
-    deviations = np.max(np.abs(produced - [e.matrix for e in target.elements]), axis=(1, 2))
-    for e, deviation in zip(target.elements, deviations.tolist()):
+    deviations = np.max(np.abs(produced - target.effects), axis=(1, 2))
+    for label, deviation in zip(target.labels, deviations.tolist()):
         if not deviation <= DEFAULT.synthesis_roundtrip:
-            raise SynthesisInfeasibleError(e.label, deviation)
+            raise SynthesisInfeasibleError(label, deviation)
     return pairs, assignment
 
 
@@ -383,19 +405,19 @@ def scenario_port_map(name: str, theta: float = None) -> dict:
     extracted = extract_povm(schedule)
     if name == "usd":
         mapping = {}
-        for e in extracted.elements:
-            silent = [float((v.conj() @ e.matrix @ v).real) <= DEFAULT.norm
+        for m, port in zip(extracted.effects, extracted.ports):
+            silent = [float((v.conj() @ m @ v).real) <= DEFAULT.norm
                       for v in (usd_state(+1, theta), usd_state(-1, theta))]
             outcome = {(False, True): "plus", (True, False): "minus"}.get(tuple(silent), "failure")
-            mapping[outcome] = e.port
+            mapping[outcome] = port
         return mapping
     n = 3 if name == "trine" else 4
     mapping = {}
     for i in range(1, n + 1):
         v = NAMED_STATES[f"psi{n}-{i}"]
         projector = 2.0 / n * np.outer(v, v.conj())
-        for e in extracted.elements:
-            if np.max(np.abs(e.matrix - projector)) < DEFAULT.synthesis_roundtrip:
-                mapping[i] = e.port
+        for m, port in zip(extracted.effects, extracted.ports):
+            if np.max(np.abs(m - projector)) < DEFAULT.synthesis_roundtrip:
+                mapping[i] = port
                 break
     return mapping

@@ -76,11 +76,11 @@ def _real(value, what: str, low=-math.inf, high=math.inf, *, open_low=False) -> 
 
 
 def _numeral(text: str, what: str, kind=int):
-    """A number written as text, read by ``kind`` (int or float): ASCII only, no ``_`` and no
-    surrounding space.  An int is an optional ``-`` and digits; leading zeros are legal."""
+    """A number written as text, read by ``kind`` (int, float or complex): ASCII only, no ``_``
+    and no surrounding space.  An int is an optional ``-`` and digits; leading zeros are legal."""
     digits = text[1:] if text.startswith("-") else text
     if (text.isascii() and "_" not in text and text == text.strip()
-            and (kind is float or digits.isdigit())):
+            and (kind is not int or digits.isdigit())):
         try:
             return kind(text)
         except ValueError:  # float("x"), or more digits than int() reads

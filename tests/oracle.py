@@ -28,7 +28,10 @@ These are the engines the package used before the array propagator in
   stack of coins one candidate class at a time;
 * the numpy peel ``peel``/``_completion``, which does each peel's 2-vector
   arithmetic with numpy calls, where ``povm.synthesize`` now does it on
-  Python scalars.
+  Python scalars;
+* the per-port ``extract_povm_by_element``, which checks one
+  ``PovmElement`` per port and sums the effects in Python, where
+  ``povm.extract_povm`` symmetrises the whole stack of effects at once.
 
 ``tests/test_propagator.py``, ``tests/test_optics.py`` and
 ``tests/test_experiment.py`` hold the package to these on random
@@ -37,6 +40,7 @@ schedules, coins and sweeps.  They are slow by design
 part of the package.
 """
 
+import json
 import math
 
 import numpy as np
@@ -53,6 +57,7 @@ from walkpovm.optics import WavePlate, _phase_aligned_dist, _so3, plates_matrix,
 from walkpovm.povm import (
     PovmElement,
     PovmSet,
+    _effects,
     _usd_angle,
     build_circuit,
     usd_scenario,
@@ -68,6 +73,7 @@ from walkpovm.walk import (
     WalkState,
     _coin_rows,
     coin_column,
+    complex_to_json,
     validate_coin,
 )
 
@@ -138,6 +144,27 @@ def extract_povm(schedule) -> PovmSet:
         )
         elements.append(PovmElement(k.conj().T @ k, f"E{x}", x))
     return PovmSet.build(elements)
+
+
+def extract_povm_by_element(schedule) -> tuple:
+    """(elements, residual, JSON text) of the per-port extraction ``povm.extract_povm`` did.
+
+    It checked one ``PovmElement`` per port a basis state reaches, summed
+    their matrices in Python for the completeness residual and wrote the
+    elements to JSON one by one.
+    """
+    t = schedule.n_steps
+    effects = _effects(t, schedule.steps)
+    elements = [PovmElement(effects[k], f"E{2 * k - t}", 2 * k - t)
+                for k in np.flatnonzero(effects.any(axis=(1, 2))).tolist()]
+    total = sum((e.matrix for e in elements), np.zeros((2, 2), dtype=complex))
+    residual = float(np.linalg.norm(total - np.eye(2), ord=2))
+    text = json.dumps({
+        "elements": [{"label": e.label, "port": e.port, "matrix": complex_to_json(e.matrix)}
+                     for e in elements],
+        "residual": residual,
+    }, sort_keys=True)
+    return elements, residual, text
 
 
 def _is_mixing(m: np.ndarray) -> bool:

@@ -342,9 +342,12 @@ _SAMPLE = ["sample", "--scenario", "sic", "--input", "psi4-1", "--counts", "100"
     ["extract", "--scenario", "sic", "--tolerance", "1_0"],
     ["extract", "--scenario", "sic", "--tolerance", "1e-9 "],
     ["sample", "--scenario", "sic", "--input", "psi4-1", "--imperfections", "{path}"],
+    ["run", "--scenario", "trine", "--input", "1_0:1"],
+    ["run", "--scenario", "trine", "--input", "\uff11:0"],
 ], ids=["seed-underscore", "seed-fullwidth", "seed-space", "seed-plus", "counts-fullwidth",
         "counts-underscore", "thetas-underscore", "thetas-arabic-indic", "theta-arabic-indic",
-        "tolerance-underscore", "tolerance-space", "config-pair-underscore"])
+        "tolerance-underscore", "tolerance-space", "config-pair-underscore",
+        "input-underscore", "input-fullwidth"])
 def test_a_number_written_as_text_is_plain_ascii(argv, tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"visibilities": {"1_0-2": 0.5}}')

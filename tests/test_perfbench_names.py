@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` rebinds each ``TRACED`` (module, attribute) pair and
 ``CoinSchedule.__init__`` by name, and the workloads call the package through
 attributes such as ``povm.PovmSet.build``, so deleting or renaming one of them
-breaks only the benchmark run.  The files are read and parsed or executed
-here, never imported, so no bytecode is written next to them.
+breaks only the benchmark run.  The workloads also read the package's records
+(a target's ``elements``, a netlist's ``plates``), so a few inputs of each
+in-process workload are run and checked here.  The files are read and parsed
+or executed here, never imported, so no bytecode is written next to them.
 """
 
 import ast
@@ -15,6 +17,7 @@ from walkpovm import walk
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_every_traced_name_is_an_attribute_of_its_module():
@@ -67,3 +70,13 @@ def test_every_package_attribute_the_benchmark_reads_exists():
     assert {"povm.IterationPair", "povm.PovmSet.build", "optics.plates_matrix",
             "walk.position_distribution", "povm.SynthesisInfeasibleError",
             "walk.CoinSchedule.__init__", "DEFAULT.synthesis_roundtrip"} <= read
+
+
+def test_the_in_process_workloads_run_and_check_their_first_inputs():
+    # the cli workload starts subprocesses and is left to the benchmark run
+    namespace = {"__name__": "workloads"}
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), namespace)
+    for name, count in (("design", 3), ("density", 2), ("sweep", 1)):
+        workload = namespace["WORKLOADS"][name](1)
+        for inp in workload.round(0)[:count]:
+            assert workload.check(inp, workload.op(inp)) == [], name

@@ -195,9 +195,9 @@ def test_extract_trine_elements():
     expected = {4: projector(NAMED_STATES["psi3-1"], 2 / 3),
                 0: projector(NAMED_STATES["psi3-2"], 2 / 3),
                 2: projector(NAMED_STATES["psi3-3"], 2 / 3)}
+    at = dict(zip(result.ports, result.effects))
     for port, matrix in expected.items():
-        got = result.element_at_port(port).matrix
-        np.testing.assert_allclose(got, matrix, atol=1e-12)
+        np.testing.assert_allclose(at[port], matrix, atol=1e-12)
 
 
 def test_extract_sic_elements():
@@ -207,17 +207,16 @@ def test_extract_sic_elements():
                 4: projector(NAMED_STATES["psi4-2"], 0.5),
                 0: projector(NAMED_STATES["psi4-3"], 0.5),
                 2: projector(NAMED_STATES["psi4-4"], 0.5)}
+    at = dict(zip(result.ports, result.effects))
     for port, matrix in expected.items():
-        got = result.element_at_port(port).matrix
-        np.testing.assert_allclose(got, matrix, atol=1e-12)
+        np.testing.assert_allclose(at[port], matrix, atol=1e-12)
 
 
 def test_extract_two_step_identity_schedule():
     result = extract_povm(build_circuit([IterationPair(I2, I2)]))
-    np.testing.assert_allclose(result.element_at_port(2).matrix,
-                               projector([1, 0], 1.0), atol=1e-12)
-    np.testing.assert_allclose(result.element_at_port(0).matrix,
-                               projector([0, 1], 1.0), atol=1e-12)
+    at = dict(zip(result.ports, result.effects))
+    np.testing.assert_allclose(at[2], projector([1, 0], 1.0), atol=1e-12)
+    np.testing.assert_allclose(at[0], projector([0, 1], 1.0), atol=1e-12)
 
 
 def test_extract_completeness_for_random_schedules():
@@ -291,12 +290,9 @@ def test_usd_success_probability_matches_walk():
 def _roundtrip(target):
     pairs, assignment = synthesize(target)
     extracted = extract_povm(build_circuit(pairs))
+    at = dict(zip(extracted.ports, extracted.effects))
     for e in target.elements:
-        port = assignment[e.label]
-        try:
-            got = extracted.element_at_port(port).matrix
-        except KeyError:
-            got = np.zeros((2, 2), dtype=complex)
+        got = at.get(assignment[e.label], np.zeros((2, 2), dtype=complex))
         np.testing.assert_allclose(got, e.matrix, atol=1e-9)
     return pairs, assignment
 
@@ -369,17 +365,19 @@ def test_synthesis_infeasible_error_is_a_validation_error_naming_its_element(mon
     assert info.value.deviation == pytest.approx(1e-6, rel=1e-3)
 
 
-def test_synthesize_rejects_stale_residual_before_peeling(monkeypatch):
-    # a PovmSet built directly can carry a residual that its elements do not
-    # have; the gate recomputes it from the rows, so no coin is ever built
+def test_synthesize_rejects_an_over_complete_target_before_peeling(monkeypatch):
+    # a PovmSet reads its residual from its effects, so it cannot carry a stale one;
+    # the gate reads the residual of the rows it would peel, so no coin is ever built
     def no_peel(*args):
         raise AssertionError("an over-complete target reached the peel loop")
 
     monkeypatch.setattr(povm, "IterationPair", no_peel)
     rng = np.random.default_rng(6)
     elements = [PovmElement(1.5 * m, f"o{i}", 0) for i, m in enumerate(random_rank1_povm(rng, 6))]
+    target = PovmSet.build(elements)
+    assert target.completeness_residual == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValidationError, match="complete"):
-        synthesize(PovmSet(tuple(elements), 0.0))
+        synthesize(target)
 
 
 def _degenerate_targets():
@@ -418,6 +416,9 @@ def test_povm_element_validation():
         PovmElement(np.array([[0, 1], [0, 0]]), "bad", 0)
     with pytest.raises(ValidationError, match="positive"):
         PovmElement(np.array([[-0.1, 0], [0, 1]]), "neg", 0)
+    # the labels key synthesize's outcome->port map, so a list would fail there unnamed
+    with pytest.raises(ValidationError, match=r"^element label must be a string, not \['a'\]$"):
+        PovmElement(np.eye(2), ["a"], 0)
 
 
 def test_povmset_json_round_trip():
@@ -468,7 +469,7 @@ def test_the_scalar_peel_equals_the_numpy_peel():
     targets = _peel_targets()
     for name, target in targets.items():
         pairs, _ = synthesize(target)
-        ref = oracle.peel(povm._rows(target.elements))
+        ref = oracle.peel(povm._rows(target))
         assert len(pairs) == len(ref), name
         for k, (p, (c1, c2)) in enumerate(zip(pairs, ref)):
             assert np.max(np.abs(p.c1 - c1)) <= 1e-12, (name, k, "c1")
@@ -503,11 +504,13 @@ def test_each_coin_is_checked_once(monkeypatch):
     assert len(calls) == 21
 
 
-@pytest.mark.parametrize("call", ["synthesize", "usd_sweep"])
+@pytest.mark.parametrize("call", ["synthesize", "usd_sweep", "extract_povm"])
 def test_synthesize_and_sweep_build_no_schedule_and_no_element(call, monkeypatch):
+    # extract_povm reads a schedule checked when it was built, so it checks no effect again
     mats = random_rank1_povm(np.random.default_rng(5), 8)
     target = PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
     config = ImperfectionConfig(visibilities={(1, 2): 0.9})
+    schedule = build_circuit(synthesize(target)[0])
     built = []
     for cls in (CoinSchedule, PovmElement):
         def counting(self, *args, _cls=cls, _init=cls.__init__):
@@ -517,8 +520,10 @@ def test_synthesize_and_sweep_build_no_schedule_and_no_element(call, monkeypatch
         monkeypatch.setattr(cls, "__init__", counting)
     if call == "synthesize":
         synthesize(target)
-    else:
+    elif call == "usd_sweep":
         usd_sweep([0.3, -0.7, np.pi / 2], config, total=100)
+    else:
+        extract_povm(schedule)
     assert built == []
 
 
@@ -560,7 +565,7 @@ def test_rows_from_one_batched_eigh_equal_rows_from_one_eigh_per_element():
         for e in elements:
             vals, vecs = np.linalg.eigh(e.matrix)
             single.append(np.sqrt(max(vals[1], 0.0)) * vecs[:, 1].conj())
-        assert np.array_equal(povm._rows(elements), np.array(single))
+        assert np.array_equal(povm._rows(PovmSet.build(elements)), np.array(single))
 
 
 def test_synthesize_makes_one_eigh_call_per_target(monkeypatch):
@@ -614,10 +619,53 @@ def test_synthesize_seeded_targets_up_to_64_outcomes():
     lambda: CoinSchedule([{0: NOT_COIN}]),
     lambda: PovmElement(np.eye(2), "e", 0),
     lambda: IterationPair(NOT_COIN, NOT_COIN),
-], ids=["CoinSchedule", "PovmElement", "IterationPair"])
+    lambda: PovmSet.build([PovmElement(np.eye(2), "e", 0)]),
+], ids=["CoinSchedule", "PovmElement", "IterationPair", "PovmSet"])
 def test_array_records_compare_and_hash_by_identity(make):
     # a generated __eq__ would compare the numpy fields and raise
     a, b = make(), make()
     assert a == a and a != b
     assert a in [b, a] and a not in [b]
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PovmSet.build([PovmElement(np.eye(2), "e", 0)]),
+    lambda: extract_povm(scenario_schedule("trine")),
+], ids=["build", "extract_povm"])
+def test_a_povm_set_s_effects_are_read_only(make):
+    # the residual and the elements are read from the effects once and kept
+    with pytest.raises(ValueError, match="read-only"):
+        make().effects[0, 0, 0] = 0.5
+
+
+def _extraction_schedules() -> dict:
+    """Synthesised circuits for n in [2, 64], the built-ins, and Haar coins on every site
+    of walks of 1 to 6 steps."""
+    rng = np.random.default_rng(59)
+    schedules = {"trine": scenario_schedule("trine"), "sic": scenario_schedule("sic"),
+                 "usd-0.7": scenario_schedule("usd", 0.7),
+                 "usd-pi/2": scenario_schedule("usd", np.pi / 2)}
+    for n in range(2, 65):
+        mats = random_rank1_povm(rng, n)
+        target = PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
+        schedules[f"n{n}"] = build_circuit(synthesize(target)[0])
+    for t in range(1, 7):
+        schedules[f"haar-t{t}"] = CoinSchedule(
+            [{x: random_unitary(rng) for x in range(1 - s, s, 2)} for s in range(1, t + 1)])
+    return schedules
+
+
+def test_the_stacked_extraction_equals_one_checked_element_per_port():
+    # extract_povm symmetrises its stack at once and checks nothing; the per-port
+    # extraction it replaced checked each effect and summed them in Python
+    for name, schedule in _extraction_schedules().items():
+        got = extract_povm(schedule)
+        elements, residual, text = oracle.extract_povm_by_element(schedule)
+        want = np.array([e.matrix for e in elements])
+        assert np.array_equal(got.effects, want), name
+        assert got.labels == tuple(e.label for e in elements), name
+        assert got.ports == tuple(e.port for e in elements), name
+        assert got.completeness_residual == residual, name
+        assert got.to_json() == text, name
+        assert np.array_equal([e.matrix for e in got.elements], want), name

@@ -193,6 +193,10 @@ _MALFORMED += [(ImperfectionConfig.from_json, text) for text in [
     '{"visibilities": {" 1-2 ": 0.5}}', '{"visibilities": {"+1-2": 0.5}}',
     '{"port_efficiencies": {"\uff14": 0.99}}', '{"visibilities": {"\u0661-\u0662": 0.5}}',
 ]]
+# an element label is a string: the labels key synthesize's outcome->port map
+_MALFORMED += [(PovmSet.from_json,
+                '{"elements": [{"label": %s, "port": 0, "matrix": [[%s, %s], [%s, %s]]}]}'
+                % ((label,) + (_CELL,) * 4)) for label in ('["a"]', "5", "null")]
 
 
 @pytest.mark.parametrize("decode,text", _MALFORMED,
