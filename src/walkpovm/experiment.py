@@ -14,14 +14,15 @@ and fold scale into A.  With all visibilities at 1 it reproduces the
 ideal pure-state probabilities exactly.  It has a leading batch axis:
 ``run_density`` calls it for one walk, and ``usd_sweep`` for all of a
 sweep's angles at once, stacking the one coin in which their circuits
-differ; ``walk._reach`` over those steps gives each angle's interferometers.
+differ; ``walk._reach`` over those coins, as one (N, B, 2, 2) stack in which
+the shared coins are broadcast, gives each angle's interferometers.
 
 ``sample_counts`` adds multinomial shot noise with a seeded, portable
 generator, and ``apply_efficiencies`` models per-port detector
 imbalance; both check and reweight through array functions over a
 trailing port axis, which the sweep applies to all its angles at once.
 Counts, seeds and ports pass ``walk._integer``, visibilities and efficiencies
-``walk._real``, sweep angles ``povm._usd_angle``, coins ``walk.validate_coin``.
+``walk._real``, sweep angles ``povm._usd_angle``, coins the ``walk.CoinSchedule`` they sit in.
 """
 
 from __future__ import annotations
@@ -338,8 +339,10 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     is x = 0 instead of x = 2.  Magnitudes pass ``povm._usd_angle``; every
     angle it admits gives a unitary peel, and the circuit's other coins are
     fixed unitaries, so the sweep walks ``povm._layout`` with no schedule to
-    check them.  All angles walk in one batched ``_walk_density`` call, and
-    each gets an independent sub-stream of the seeded generator.
+    check them.  All angles walk in one batched ``_walk_density`` call; one
+    ``_reach`` of the layout's coins, stacked (N, B, 2, 2) with the coins the
+    angles share broadcast, gives each angle's interferometers.  Each angle
+    gets an independent sub-stream of the seeded generator.
     """
     _check_draw(total, seed)
     config = _config(config)
@@ -351,7 +354,11 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     steps = _layout(usd_scenario(mags[0]))
     steps[1][1] = _usd_peel(mags)
     n = len(steps)
-    damping = _damping(_reach(n, steps)[1], config.visibilities)
+    slots = [(x, s) for s, coins in enumerate(steps, start=1) for x in coins]
+    stack = np.empty((len(slots),) + mags.shape + (2, 2), dtype=complex)
+    for k, (x, s) in enumerate(slots):
+        stack[k] = steps[s - 1][x]  # a coin all angles share is broadcast
+    damping = _damping(_reach(n, stack, slots)[1], config.visibilities)
     ports = [2 * k - n for k in range(n + 1)]
     probs = _walk_density(n, steps, _usd_columns(np.sign(thetas), mags), damping)
     weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))

@@ -21,10 +21,13 @@ matrix-product order (leftmost applied last, i.e. the beam traverses the
 list right to left).  It searches nothing: the coin's Bloch rotation
 gives closed-form candidates with none, one, two and three plates, and
 the first whose product matches the coin is returned.  ``compile_netlist``
-stacks a schedule's coins and lowers them at once: each candidate class
-solves and verifies, in one batch, every coin still pending, and a coin
-whose candidate fails waits for the next class.  Ports and
-interferometers come from the pass every ``CoinSchedule`` makes once.
+lowers a schedule's coin stack at once: one round gates every coin into
+its first candidate class, solves each class's coins and verifies all the
+plate products together, and a coin whose candidate fails goes to another
+round from its next class.  The netlist keeps the angles and each slot's
+phase as arrays and builds its ``WavePlate`` records only when they are
+read.  Ports and interferometers come from the pass every ``CoinSchedule``
+makes once.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .povm import _usd_angle
 from .tolerances import DEFAULT
-from .walk import CoinSchedule, ValidationError, _integer, _norm, _real, coin_column, validate_coin
+from .walk import (CoinSchedule, ValidationError, _frozen, _integer, _norm, _real, coin_column,
+                   complex_to_json, validate_coin)
 
 
 def hwp(angle_deg) -> np.ndarray:
@@ -106,22 +110,48 @@ def _plate(kind: str, angle_deg: float, position: int, step: int) -> WavePlate:
     return plate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalNetlist:
-    """Compiled hardware description: displacer count, plates, ports, interferometers."""
+    """Compiled hardware description: displacer count, ports, interferometers and plates.
+
+    The plates are kept as read-only arrays over the schedule's ``slots``, its
+    (position, step) pairs in slot order: ``classes`` indexes ``_CLASSES``, the
+    slot's plate kinds, ``angles`` (N, 3) holds their angles in degrees (0 past
+    the last plate), and ``phases`` the slot's phase, a unit complex number with
+    coin = phase * plate product.  ``plates`` builds the ``WavePlate`` records
+    on first read and keeps them.
+    """
 
     displacers: int
-    plates: tuple
     ports: tuple
     interferometers: tuple
+    slots: tuple
+    classes: np.ndarray
+    angles: np.ndarray
+    phases: np.ndarray
+
+    @cached_property
+    def plates(self) -> tuple:
+        """The plates in slot order, each in matrix-product order within its slot."""
+        return tuple(_plate(kind, a, x, s)
+                     for (x, s), c, row in zip(self.slots, self.classes.tolist(),
+                                               self.angles.tolist())
+                     for kind, a in zip(_CLASSES[c], row))
 
     def to_json(self) -> str:
+        """The netlist as JSON; ``phases`` lists only the slots whose phase is not 1
+        within ``DEFAULT.plate_product``, and is left out where there are none."""
         payload = {
             "displacers": self.displacers,
             "plates": [{**vars(p), "angle_dms": p.angle_dms} for p in self.plates],
             "ports": list(self.ports),
             "interferometers": [list(pair) for pair in self.interferometers],
         }
+        off = np.flatnonzero(np.abs(self.phases - 1.0) > DEFAULT.plate_product)
+        if off.size:
+            payload["phases"] = [
+                {"position": self.slots[i][0], "step": self.slots[i][1],
+                 "phase": complex_to_json(self.phases[i])} for i in off.tolist()]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -130,23 +160,30 @@ def plates_matrix(plates) -> np.ndarray:
     return reduce(np.matmul, (p.matrix for p in plates), np.eye(2, dtype=complex))
 
 
-def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max |a - e^{i t} b| over the optimal global phase t, for (..., 2, 2) unitaries.
+def _phase_fit(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(max |a - e^{i t} b| over the optimal global phase t, e^{i t}), for (..., 2, 2) unitaries.
 
-    When tr(b^dag a) = 0 every phase leaves the distance at 1 or more.
+    When tr(b^dag a) = 0 every phase leaves the distance at 1 or more, and e^{i t} is 1.
     """
     t = np.einsum("...ij,...ij->...", b.conj(), a)
     zero = t == 0  # the phase is 1 there and t / |t| elsewhere
     phase = (t + zero) / (np.abs(t) + zero)
-    return np.max(np.abs(a - phase[..., None, None] * b), axis=(-2, -1))
+    return np.max(np.abs(a - phase[..., None, None] * b), axis=(-2, -1)), phase
+
+
+def _phase_aligned_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |a - e^{i t} b| over the optimal global phase t, for (..., 2, 2) unitaries."""
+    return _phase_fit(a, b)[0]
 
 
 def _so3(u: np.ndarray) -> np.ndarray:
     """Bloch-sphere rotations of (..., 2, 2) unitaries (insensitive to global phase)."""
     # column k is (Re m01, -Im m01, (m00 - m11) / 2) for m = u sigma_k u^dag
     a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
-    x, y = b * c.conj() + a * d.conj(), 1j * (b * c.conj() - a * d.conj())
-    z, xz = a * c.conj() - b * d.conj(), a * b.conj() - c * d.conj()
+    cc, dc = c.conj(), d.conj()
+    bc, ad = b * cc, a * dc
+    x, y = bc + ad, 1j * (bc - ad)
+    z, xz = a * cc - b * dc, a * b.conj() - c * dc
     zz = (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2) / 2.0
     r = np.stack([x.real, -x.imag, xz.real, y.real, -y.imag, xz.imag, z.real, -z.imag, zz], -1)
     return r.reshape(u.shape[:-2] + (3, 3)).swapaxes(-1, -2)
@@ -179,47 +216,86 @@ def _triple(r: np.ndarray) -> np.ndarray:
     return np.column_stack([alpha, _pair(_qwp_so3(alpha).swapaxes(1, 2) @ r)])
 
 
-def _lower(us: np.ndarray, slots=None) -> list:
-    """One plate list per coin of an (N, 2, 2) stack already checked to be unitary.
+def _quarter(r: np.ndarray) -> np.ndarray:
+    """QWP angles of quarter turns r: the axis is the vector of r's antisymmetric part."""
+    return np.degrees(np.arctan2(r[:, 2, 1] - r[:, 1, 2], r[:, 1, 0] - r[:, 0, 1]))[:, None] / 2.0
 
-    Candidate classes go fewest plates first, each solving and verifying at
-    once the pending coins its gate passes; a coin whose candidate fails
-    stays pending.  ``slots`` (position, step) label the plates and errors.
-    The plates are checked once, as arrays: a verified product leaves no
-    non-finite angle, so each class's angles are taken mod 180 in one array
-    and become ``_plate`` records, with no ``WavePlate.__init__`` per plate.
+
+# the candidate classes, fewest plates first: the plate kinds of each, the solver
+# of their angles from Bloch rotations, and e^{i delta} of each plate's retardance
+# delta (1 past the last plate, where the plate at angle 0 is the identity)
+_CLASSES = ((), ("HWP",), ("QWP",), ("HWP", "QWP"), ("QWP", "HWP", "QWP"))
+_SOLVERS = (None, lambda r: _hwp_angle(r)[:, None], _quarter, _pair, _triple)
+_RETARDANCE = np.array([[{"HWP": -1.0, "QWP": 1j}[k] for k in kinds] + [1.0] * (3 - len(kinds))
+                        for kinds in _CLASSES])
+_CLASS_INDEX = np.arange(len(_CLASSES))
+_EYE3 = np.eye(3)
+
+
+def _plate_products(e: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The (M, 2, 2) products of M rows of three retarders, e (M, 3) = e^{i delta} of each.
+
+    A retarder R(a) diag(1, e) R(-a) at angle a is the symmetric [[p, q], [q, r]]:
+    ``hwp(a)`` where e is -1 and ``qwp(a)`` where e is i, within rounding, and the
+    identity where e is 1 and a is 0.  Each product is written out entry by entry.
     """
-    r, plates = _so3(us), [None] * len(us)
-    pending = np.ones(len(us), dtype=bool)
+    a = np.radians(angles)
+    c, s = np.cos(a), np.sin(a)
+    cc, ss = c * c, s * s
+    p, q, r = (cc + e * ss).T, ((1.0 - e) * (s * c)).T, (ss + e * cc).T
+    m00, m01 = p[0] * p[1] + q[0] * q[1], p[0] * q[1] + q[0] * r[1]
+    m10, m11 = q[0] * p[1] + r[0] * q[1], q[0] * q[1] + r[0] * r[1]
+    return np.stack([m00 * p[2] + m01 * q[2], m00 * q[2] + m01 * r[2],
+                     m10 * p[2] + m11 * q[2], m10 * q[2] + m11 * r[2]], axis=-1).reshape(-1, 2, 2)
 
-    def attempt(kinds, gate, solve):
-        idx = np.flatnonzero(pending & gate)
-        if idx.size == 0:
-            return
-        angles = solve(r[idx])
-        product = np.eye(2, dtype=complex)
-        for k, kind in enumerate(kinds):
-            product = product @ (hwp if kind == "HWP" else qwp)(angles[:, k])
-        ok = _phase_aligned_dist(product, us[idx]) <= DEFAULT.plate_product
-        pending[idx[ok]] = False
-        # the angle mod 180 twice, as WavePlate takes it, for the whole class at once
-        for i, row in zip(idx[ok].tolist(), (angles[ok] % 180.0 % 180.0).tolist()):
-            x, s = slots[i] if slots else (0, 0)
-            plates[i] = [_plate(kind, a, x, s) for kind, a in zip(kinds, row)]
 
-    tol = DEFAULT.so3_pattern
+def _lower(us: np.ndarray, slots=None) -> tuple:
+    """(classes, angles, phases) for an (N, 2, 2) stack of coins already checked to be unitary.
+
+    A coin's class indexes ``_CLASSES``; its (3,) row of ``angles`` holds its
+    plates' angles in degrees, mod 180 as ``WavePlate`` takes them, and 0 past
+    the last plate; its phase is tr(P^dag U) / |tr(P^dag U)| for plate product
+    P, so U = phase * P within ``DEFAULT.plate_product``.  One round gates every
+    coin into the first class whose gate passes, solves each class's coins,
+    and verifies all their plate products at once; a coin whose candidate
+    fails goes to a new round from its next class.  ``slots`` (position, step)
+    name the first coin that fails every class.
+    """
+    n = len(us)
+    r, tol = _so3(us), DEFAULT.so3_pattern
     in_plane = np.abs(r[:, 1, 1]) <= tol  # r maps y into the x-z plane
-    attempt((), np.max(np.abs(r - np.eye(3)), axis=(1, 2)) <= tol, lambda q: q[:, :0, 0])
-    attempt(("HWP",), np.abs(r[:, 1, 1] + 1.0) <= tol, lambda q: _hwp_angle(q)[:, None])
-    # a quarter turn; its axis is the vector of r's antisymmetric part
-    attempt(("QWP",), in_plane & (np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= tol), lambda q:
-            np.degrees(np.arctan2(q[:, 2, 1] - q[:, 1, 2], q[:, 1, 0] - q[:, 0, 1]))[:, None] / 2.0)
-    attempt(("HWP", "QWP"), in_plane, _pair)
-    attempt(("QWP", "HWP", "QWP"), True, _triple)
-    if pending.any():
-        where = " at position {} in step {}".format(*slots[np.argmax(pending)]) if slots else ""
+    gates = np.stack([
+        np.max(np.abs(r - _EYE3), axis=(1, 2)) <= tol,
+        np.abs(r[:, 1, 1] + 1.0) <= tol,
+        in_plane & (np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= tol),
+        in_plane,
+        np.ones(n, dtype=bool),
+    ], axis=1)
+
+    def attempt(idx, cls):
+        """Angles, plate-product distances and phases of the class-``cls`` candidates."""
+        found = np.zeros((len(idx), 3))
+        for k, count in enumerate(np.bincount(cls, minlength=len(_CLASSES)).tolist()):
+            if k and count:
+                pick = cls == k
+                found[pick, :len(_CLASSES[k])] = _SOLVERS[k](r[idx[pick]])
+        return (found, *_phase_fit(_plate_products(_RETARDANCE[cls], found), us[idx]))
+
+    classes = np.argmax(gates, axis=1)
+    angles, dist, phases = attempt(np.arange(n), classes)
+    retry, failed = np.flatnonzero(~(dist <= DEFAULT.plate_product)), []
+    while retry.size:
+        start = classes[retry] + 1
+        failed += retry[start == len(_CLASSES)].tolist()
+        retry, start = retry[start < len(_CLASSES)], start[start < len(_CLASSES)]
+        classes[retry] = np.argmax(gates[retry] & (_CLASS_INDEX >= start[:, None]), axis=1)
+        angles[retry], dist[retry], phases[retry] = attempt(retry, classes[retry])
+        retry = retry[~(dist[retry] <= DEFAULT.plate_product)]
+    if failed:
+        where = " at position {} in step {}".format(*slots[min(failed)]) if slots else ""
         raise ValidationError(f"no wave-plate decomposition found{where} (input not unitary?)")
-    return plates
+    # angles mod 180 twice, as WavePlate takes them; U = conj(e^{i t}) P for P = e^{i t} U
+    return classes, angles % 180.0 % 180.0, phases.conj()
 
 
 def decompose(u) -> list:
@@ -235,7 +311,8 @@ def decompose(u) -> list:
     returned; the empty list is verified like any other.  Results are the
     same for e^{i d} u at any d.
     """
-    return _lower(validate_coin(u)[None])[0]
+    classes, angles, _ = _lower(validate_coin(u)[None])
+    return [_plate(kind, a, 0, 0) for kind, a in zip(_CLASSES[classes[0]], angles[0].tolist())]
 
 
 def usd_plate_angle(theta: float) -> float:
@@ -262,22 +339,22 @@ def output_ports(schedule: CoinSchedule) -> list:
 
 
 def compile_netlist(schedule: CoinSchedule) -> OpticalNetlist:
-    """Lower a schedule to hardware: one displacer per step, its coins' plates as one stack.
+    """Lower a schedule to hardware: one displacer per step, its coin stack's plates as arrays.
 
-    A slot's plates match its coin only up to a global phase, and the netlist
-    keeps no phase.  Where two coins of one step feed paths that recombine,
-    their relative phase is measured, so the plates can measure another POVM:
-    for a seeded Haar coin on every site of a 4-step walk, 0.59 away in
-    operator norm.  Peel-off circuits lose nothing, since c1 sits alone in its
-    step and c2 and the NOT beside it are exactly half-wave plates.  ROADMAP
-    item 2 keeps the slot phases.  The plates are checked once, as arrays, by
-    ``_lower``'s plate products; the schedule has checked the slots.
+    ``_lower`` takes the schedule's checked coin stack at once and verifies
+    every plate product; the ``WavePlate`` records are built only when
+    ``plates`` is read.  A slot's plates match its coin only up to a global
+    phase, and the netlist keeps that phase per slot.  Where two coins of one
+    step feed paths that recombine, their relative phase is measured, so the
+    plates without the phases can measure another POVM: for a seeded Haar coin
+    on every site of a 4-step walk, 0.59 away in operator norm.  Peel-off
+    circuits need no phase, since c1 sits alone in its step and c2 and the NOT
+    beside it are exactly half-wave plates.
     """
-    slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
-    us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)
-    plates = tuple(p for group in _lower(us, slots) for p in group)
+    classes, angles, phases = _lower(schedule.coins, schedule.slots)
     ports, pairs = schedule._structure
-    return OpticalNetlist(schedule.n_steps, plates, ports, tuple(pairs))
+    return OpticalNetlist(schedule.n_steps, ports, tuple(pairs), schedule.slots,
+                          _frozen(classes), _frozen(angles), _frozen(phases))
 
 
 def state_prep_angles(target, include_qwp: bool | None = None):

@@ -26,7 +26,9 @@ through ``PovmElement``; ``extract_povm`` and ``synthesize`` read stacks.
 
 ``NAMED_STATES`` holds the paper's input states by label: ``H``, ``V``,
 the trine states ``psi3-i``, the SIC states ``psi4-i`` and the states
-``psibar3-i``, ``psibar4-i`` orthogonal to them.  Its vectors are read-only.
+``psibar3-i``, ``psibar4-i`` orthogonal to them.  Its vectors are read-only,
+as are the coins ``HADAMARD_LIKE`` and ``_TILT`` that the built-in scenarios
+hand out.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .walk import (
     ValidationError,
     _RuleError,
     _complex,
+    _frozen,
     _integer,
     _loads,
     _propagate,
@@ -58,10 +61,10 @@ from .walk import (
     decoding,
 )
 
-HADAMARD_LIKE = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-_TILT = np.sqrt(1.0 / 3.0) * np.array(
+HADAMARD_LIKE = _frozen(np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
+_TILT = _frozen(np.sqrt(1.0 / 3.0) * np.array(
     [[np.sqrt(2.0), 1.0], [1.0, -np.sqrt(2.0)]], dtype=complex
-)
+))
 
 
 class SynthesisInfeasibleError(ValidationError):
@@ -279,11 +282,6 @@ def synthesize(target: PovmSet):
 # ---------------------------------------------------------------------------
 # Built-in measurement scenarios and their input states.
 # ---------------------------------------------------------------------------
-
-def _frozen(v: np.ndarray) -> np.ndarray:
-    v.setflags(write=False)
-    return v
-
 
 _SIC_PHASES = (1.0, np.exp(2j * np.pi / 3.0), np.exp(-2j * np.pi / 3.0))
 

@@ -8,16 +8,19 @@ values, so states can be shared freely between threads.
 
 ``_coin_rows`` states the one frame that amplitudes, Kraus maps,
 reachability and density matrices all walk in, where the shift moves no
-data.  The three walkers, ``_propagate``, ``_reach`` and
-``experiment._walk_density``, take ``(t, steps, ...)``: a step count and
-position -> coin maps that they do not check, so a caller may walk coins it
-made unitary itself without building a schedule.  Each input rule is written
-once, here: ``_integer`` (an int or numpy integer, never a bool, in a range),
-``_real`` (a finite real in a range), ``_numeral`` (a number written as text),
-``_complex`` (an array of numbers, never a bool or str) and ``validate_coin``,
-the one unitarity test.  A ``CoinSchedule`` checks its positions and coins once,
-when built, and finds its ports and interferometers once, on first use, by
-``_reach``, the one reachability pass.  Complex values cross JSON as
+data.  The walkers ``_propagate`` and ``experiment._walk_density`` take
+``(t, steps, ...)``, a step count and position -> coin maps, and ``_reach``
+takes ``(t, coins, slots)``, a coin stack and each coin's (position, step).
+None of them checks its coins, so a caller may walk coins it made unitary
+itself without building a schedule.  Each input rule is written once, here:
+``_integer`` (an int or numpy integer, never a bool, in a range), ``_real``
+(a finite real in a range), ``_numeral`` (a number written as text),
+``_complex`` (an array of numbers, never a bool or str) and ``_unitary``, the
+one unitarity test, applied to a stack of coins; ``validate_coin`` applies it
+to one.  A ``CoinSchedule`` copies its coins into one read-only stack, checks
+its positions and that stack once, when built, and finds its ports and
+interferometers once, on first use, by ``_reach``, the one reachability pass.
+The package's own coins are read-only too.  Complex values cross JSON as
 ``{"re", "im"}`` cells only, and a file reader takes no object that gives one
 key twice (``_loads``).
 """
@@ -38,8 +41,15 @@ R = 0
 L = 1
 
 _COMPLEX = np.dtype(complex)
-IDENTITY_COIN = np.eye(2, dtype=complex)
-NOT_COIN = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+IDENTITY_COIN = _frozen(np.eye(2, dtype=complex))
+NOT_COIN = _frozen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
 class ValidationError(ValueError):
@@ -113,24 +123,34 @@ def _coin_name(position, step) -> str:
             + ("" if step is None else f" in step {step}"))
 
 
+def _unitary(coins: np.ndarray) -> np.ndarray:
+    """Which coins of an (N, 2, 2) complex stack are unitary: the one unitarity rule.
+
+    Every real and imaginary part must lie in [-2, 2], as in any unitary; a NaN
+    or inf fails this, and the squares below cannot overflow.  Then
+    |a|^2 + |c|^2 - 1, |b|^2 + |d|^2 - 1 and |conj(a) b + conj(c) d| must each
+    be within ``DEFAULT.unitarity``; a fold such as max() would skip a NaN.
+    """
+    small = ((np.abs(coins.real) <= 2.0) & (np.abs(coins.imag) <= 2.0)).all(axis=(1, 2))
+    if not small.all():
+        coins = np.where(small[:, None, None], coins, 0.0)
+    squares = coins.real * coins.real + coins.imag * coins.imag
+    cols = squares[:, 0] + squares[:, 1]
+    cross = coins[:, 0, 0].conj() * coins[:, 0, 1] + coins[:, 1, 0].conj() * coins[:, 1, 1]
+    tol = DEFAULT.unitarity
+    return small & (np.abs(cols - 1.0) <= tol).all(axis=1) & (np.abs(cross) <= tol)
+
+
 def validate_coin(matrix, *, position=None, step=None) -> np.ndarray:
     """Return the coin as a complex array, rejecting non-unitary input.
 
-    Entries must be finite and M^dag M - I within ``DEFAULT.unitarity``.
-    The error message names the offending position (and step, if given).
+    The coin must be 2x2 and pass ``_unitary``, the rule a ``CoinSchedule``
+    applies to its whole stack.  The error message names the offending
+    position (and step, if given).
     """
     m = _complex(matrix, _coin_name, position, step)
-    if m.shape == (2, 2):
-        a, b, c, d = m.ravel().tolist()
-        # each entry of M^dag M - I is compared on its own: a fold such as max() skips a NaN.
-        # hypot neither overflows nor drops a NaN or inf, so the column norms reject any
-        # non-finite or huge entry before the cross term multiplies two entries
-        col0 = math.hypot(a.real, a.imag, c.real, c.imag)
-        col1 = math.hypot(b.real, b.imag, d.real, d.imag)
-        if (abs(col0 * col0 - 1.0) <= DEFAULT.unitarity
-                and abs(col1 * col1 - 1.0) <= DEFAULT.unitarity
-                and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT.unitarity):
-            return m
+    if m.shape == (2, 2) and _unitary(m[None])[0]:
+        return m
     raise ValidationError(f"{_coin_name(position, step)} is not a 2x2 unitary")
 
 
@@ -217,18 +237,38 @@ class CoinSchedule:
     """Ordered walk steps; each step maps position -> coin operation.
 
     Positions absent from a step's map receive the identity.  The one
-    constructor checks every coin for unitarity; ``_structure`` finds the
-    ports and interferometers on first use and keeps them.
+    constructor copies the coins into ``coins``, one read-only (N, 2, 2)
+    stack in slot order (step, then position), with ``slots`` beside it, the
+    (position, step) of each, and checks the whole stack for unitarity at
+    once.  The maps in ``steps`` keep the order they were given in, and their
+    coins are read-only views of the stack.  ``_structure`` finds the ports
+    and interferometers on first use and keeps them.
     """
 
     steps: tuple
 
     def __init__(self, steps):
-        object.__setattr__(self, "steps", tuple(
-            {_integer(x, f"coin position in step {s}"): validate_coin(m, position=x, step=s)
-             for x, m in coins.items()}
-            for s, coins in enumerate(steps, start=1)
-        ))
+        coins, given = {}, []  # (position, step) -> coin, and each step's positions as given
+        for s, step in enumerate(steps, start=1):
+            xs = []
+            for x, m in step.items():
+                if type(x) is not int:  # a plain int passes _integer as it is
+                    x = _integer(x, f"coin position in step {s}")
+                m = _complex(m, _coin_name, x, s)
+                if m.shape != (2, 2):
+                    raise ValidationError(f"{_coin_name(x, s)} is not a 2x2 unitary")
+                coins[x, s] = m
+                xs.append(x)
+            given.append(xs)
+        slots = tuple((x, s) for s, xs in enumerate(given, start=1) for x in sorted(xs))
+        stack = np.array([coins[slot] for slot in slots], dtype=complex).reshape(-1, 2, 2)
+        bad = ~_unitary(stack)
+        if bad.any():
+            raise ValidationError(f"{_coin_name(*slots[bad.argmax()])} is not a 2x2 unitary")
+        views = dict(zip(slots, _frozen(stack)))
+        self.__dict__.update(
+            steps=tuple({x: views[x, s] for x in xs} for s, xs in enumerate(given, start=1)),
+            coins=stack, slots=slots)
 
     @property
     def n_steps(self) -> int:
@@ -236,8 +276,8 @@ class CoinSchedule:
 
     @cached_property
     def _structure(self) -> tuple:
-        """``_reach`` of the schedule's steps, found on first use and kept."""
-        return _reach(self.n_steps, self.steps)
+        """``_reach`` of the schedule's coin stack, found on first use and kept."""
+        return _reach(self.n_steps, self.coins, self.slots)
 
     def to_json(self) -> str:
         out = [
@@ -270,31 +310,35 @@ def _coin_rows(t: int, s: int, x: int):
     return slice(i, i + s + 1, s)
 
 
-def _reach(t: int, steps) -> tuple:
+def _reach(t: int, coins: np.ndarray, slots) -> tuple:
     """(ports any walk reaches, {interferometer: the walks it mixes in}) from x = 0.
 
-    A coin is (2, 2), or (B, 2, 2) for B walks of one layout.  Each row of the
-    ``_coin_rows`` frame has a flag, a bool or (B,) bool array, made from the
-    coins' entries above ``DEFAULT.norm`` by ORs of ANDs, which cannot cancel:
-    it is set exactly where some path reaches the row.
+    ``coins`` is an (N, 2, 2) stack, or (N, B, 2, 2) for B walks of one layout,
+    and ``slots`` gives each coin's (position, step), in step order.  One pass
+    over the stack finds each coin's entries above ``DEFAULT.norm`` and whether
+    it mixes, that is, whether some output superposes both inputs.  Each row
+    of the ``_coin_rows`` frame then has a flag, a bool or (B,) bool array,
+    made from those by ORs of ANDs, which cannot cancel: it is set exactly
+    where some path reaches the row.
     """
     tol = DEFAULT.norm
+    big = np.abs(coins) > tol
+    flags = np.moveaxis(big.reshape(big.shape[:-2] + (4,)), -1, 1)  # (N, 4[, B])
+    mixing = (np.abs(coins[..., 0] * coins[..., 1]) > tol).any(axis=-1)
+    if coins.ndim == 3:  # one walk: Python bools
+        flags, mixing = flags.tolist(), mixing.tolist()
     lit = [False] * (2 * t + 2)
     lit[t] = lit[t + 1] = True
-    pairs = {}
-    for s, coins in enumerate(steps, start=1):
-        mixes = False
-        for x, m in coins.items():
-            rows = _coin_rows(t, s, x)
-            if rows is not None:
-                i, j = rows.start, rows.start + s
-                a, b, c, d = m.ravel().tolist() if m.ndim == 2 else m.reshape(-1, 4).T
-                # the coin mixes when some output superposes both inputs
-                mixes = mixes | (lit[i] & lit[j] & ((abs(a * b) > tol) | (abs(c * d) > tol)))
-                lit[i], lit[j] = (((abs(a) > tol) & lit[i]) | ((abs(b) > tol) & lit[j]),
-                                  ((abs(c) > tol) & lit[i]) | ((abs(d) > tol) & lit[j]))
-        if s >= 3 and _some(mixes):
-            pairs[(s - 2, s - 1)] = mixes
+    mixes = {}
+    for (x, s), (a, b, c, d), mix in zip(slots, flags, mixing):
+        rows = _coin_rows(t, s, x)
+        if rows is not None:
+            i, j = rows.start, rows.start + s
+            li, lj = lit[i], lit[j]
+            if mix is not False:
+                mixes[s] = mixes.get(s, False) | (li & lj & mix)
+            lit[i], lit[j] = (a & li) | (b & lj), (c & li) | (d & lj)
+    pairs = {(s - 2, s - 1): mix for s, mix in mixes.items() if s >= 3 and _some(mix)}
     ports = tuple(2 * k - t for k in range(t + 1) if _some(lit[k] | lit[t + 1 + k]))
     return ports, pairs
 

@@ -24,14 +24,23 @@ These are the engines the package used before the array propagator in
   orders and two outer-QWP angles and verifies each try;
 * the scalar closed-form chain ``_candidates``/``_pair``/``_lower``,
   which builds one candidate per plate count for one coin and verifies
-  each in turn, where ``optics._lower`` now solves and verifies a whole
-  stack of coins one candidate class at a time;
+  each in turn, where ``optics._lower`` now lowers a whole stack of coins
+  at once;
 * the numpy peel ``peel``/``_completion``, which does each peel's 2-vector
   arithmetic with numpy calls, where ``povm.synthesize`` now does it on
   Python scalars;
 * the per-port ``extract_povm_by_element``, which checks one
   ``PovmElement`` per port and sums the effects in Python, where
-  ``povm.extract_povm`` symmetrises the whole stack of effects at once.
+  ``povm.extract_povm`` symmetrises the whole stack of effects at once;
+* the class-by-class ``lower_by_class``, with its own copies of the
+  stacked Bloch rotation and angle solvers, which solves and verifies a
+  stack one candidate class at a time and builds a ``WavePlate`` record per
+  plate, and ``netlist_json``, the netlist bytes written from it, where
+  ``optics._lower`` gates, solves and verifies every coin in one round and
+  ``OpticalNetlist`` builds its records only when they are read;
+* the per-coin ``reach_by_coin``, which reads each coin's entries from the
+  step maps inside its row-flag loop, where ``walk._reach`` finds every
+  coin's flags in one pass over the schedule's coin stack.
 
 ``tests/test_propagator.py``, ``tests/test_optics.py`` and
 ``tests/test_experiment.py`` hold the package to these on random
@@ -53,7 +62,7 @@ from walkpovm.experiment import (
     run_density as package_run_density,
     sample_counts,
 )
-from walkpovm.optics import WavePlate, _phase_aligned_dist, _so3, plates_matrix, qwp
+from walkpovm.optics import WavePlate, _phase_aligned_dist, _plate, _so3, hwp, plates_matrix, qwp
 from walkpovm.povm import (
     PovmElement,
     PovmSet,
@@ -72,6 +81,7 @@ from walkpovm.walk import (
     ValidationError,
     WalkState,
     _coin_rows,
+    _some,
     coin_column,
     complex_to_json,
     validate_coin,
@@ -536,3 +546,117 @@ def peel(rows: np.ndarray) -> list:
         coins.append((np.vstack([r, low]), c2))
         g[k + 1:] = rest
     return coins
+
+
+def _so3_stack(u: np.ndarray) -> np.ndarray:
+    """Bloch-sphere rotations of (..., 2, 2) unitaries, written out entry by entry."""
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    x, y = b * c.conj() + a * d.conj(), 1j * (b * c.conj() - a * d.conj())
+    z, xz = a * c.conj() - b * d.conj(), a * b.conj() - c * d.conj()
+    zz = (abs(a) ** 2 - abs(b) ** 2 - abs(c) ** 2 + abs(d) ** 2) / 2.0
+    r = np.stack([x.real, -x.imag, xz.real, y.real, -y.imag, xz.imag, z.real, -z.imag, zz], -1)
+    return r.reshape(u.shape[:-2] + (3, 3)).swapaxes(-1, -2)
+
+
+def _qwp_so3_stack(angle_deg: np.ndarray) -> np.ndarray:
+    """Bloch rotations of QWPs at an array of angles, in closed form."""
+    a = np.radians(2.0 * angle_deg)
+    s, c = np.sin(a), np.cos(a)
+    r = np.stack([s * s, -c, s * c, c, 0.0 * a, -s, s * c, s, c * c], -1)
+    return r.reshape(a.shape + (3, 3))
+
+
+def _hwp_angle_stack(h: np.ndarray) -> np.ndarray:
+    """Angles of HWPs with Bloch rotations h."""
+    return np.degrees(np.arctan2(h[:, 0, 2], h[:, 2, 2])) / 4.0 % 90.0 % 90.0
+
+
+def _pair_stack(r: np.ndarray) -> np.ndarray:
+    """HWP * QWP angles for Bloch rotations r with r[1, 1] = 0."""
+    gamma = np.degrees(np.arctan2(r[:, 1, 2], -r[:, 1, 0])) / 2.0
+    return np.column_stack([_hwp_angle_stack(r @ _qwp_so3_stack(gamma).swapaxes(1, 2)), gamma])
+
+
+def _triple_stack(r: np.ndarray) -> np.ndarray:
+    """QWP * HWP * QWP angles: the outer QWP turns r's image of y back into the x-z plane."""
+    w0, w2 = r[:, 0, 1], r[:, 2, 1]
+    alpha = np.where(np.hypot(w0, w2) > DEFAULT.norm, np.degrees(np.arctan2(w0, w2)) / 2.0, 0.0)
+    return np.column_stack([alpha, _pair_stack(_qwp_so3_stack(alpha).swapaxes(1, 2) @ r)])
+
+
+def lower_by_class(us: np.ndarray, slots=None) -> list:
+    """One plate list per coin of an (N, 2, 2) stack already checked to be unitary.
+
+    Candidate classes go fewest plates first, each solving and verifying at
+    once the pending coins its gate passes; a coin whose candidate fails
+    stays pending.  ``slots`` (position, step) label the plates and errors.
+    """
+    r, plates = _so3_stack(us), [None] * len(us)
+    pending = np.ones(len(us), dtype=bool)
+
+    def attempt(kinds, gate, solve):
+        idx = np.flatnonzero(pending & gate)
+        if idx.size == 0:
+            return
+        angles = solve(r[idx])
+        product = np.eye(2, dtype=complex)
+        for k, kind in enumerate(kinds):
+            product = product @ (hwp if kind == "HWP" else qwp)(angles[:, k])
+        ok = _phase_aligned_dist(product, us[idx]) <= DEFAULT.plate_product
+        pending[idx[ok]] = False
+        for i, row in zip(idx[ok].tolist(), (angles[ok] % 180.0 % 180.0).tolist()):
+            x, s = slots[i] if slots else (0, 0)
+            plates[i] = [_plate(kind, a, x, s) for kind, a in zip(kinds, row)]
+
+    tol = DEFAULT.so3_pattern
+    in_plane = np.abs(r[:, 1, 1]) <= tol
+    attempt((), np.max(np.abs(r - np.eye(3)), axis=(1, 2)) <= tol, lambda q: q[:, :0, 0])
+    attempt(("HWP",), np.abs(r[:, 1, 1] + 1.0) <= tol, lambda q: _hwp_angle_stack(q)[:, None])
+    attempt(("QWP",), in_plane & (np.abs(np.trace(r, axis1=1, axis2=2) - 1.0) <= tol), lambda q:
+            np.degrees(np.arctan2(q[:, 2, 1] - q[:, 1, 2], q[:, 1, 0] - q[:, 0, 1]))[:, None] / 2.0)
+    attempt(("HWP", "QWP"), in_plane, _pair_stack)
+    attempt(("QWP", "HWP", "QWP"), True, _triple_stack)
+    if pending.any():
+        where = " at position {} in step {}".format(*slots[np.argmax(pending)]) if slots else ""
+        raise ValidationError(f"no wave-plate decomposition found{where} (input not unitary?)")
+    return plates
+
+
+def netlist_json(schedule) -> str:
+    """The netlist JSON of ``lower_by_class``'s plates, which keeps no slot phase."""
+    slots = [(x, s) for s, coins in enumerate(schedule.steps, start=1) for x in sorted(coins)]
+    us = np.array([schedule.steps[s - 1][x] for x, s in slots]).reshape(-1, 2, 2)
+    plates = [p for group in lower_by_class(us, slots) for p in group]
+    ports, pairs = reach_by_coin(schedule.n_steps, schedule.steps)
+    return json.dumps({
+        "displacers": schedule.n_steps,
+        "plates": [{**vars(p), "angle_dms": p.angle_dms} for p in plates],
+        "ports": list(ports),
+        "interferometers": [list(pair) for pair in pairs],
+    }, sort_keys=True)
+
+
+def reach_by_coin(t: int, steps) -> tuple:
+    """(ports any walk reaches, {interferometer: the walks it mixes in}) from x = 0.
+
+    A coin is (2, 2), or (B, 2, 2) for B walks of one layout; each coin's
+    entries are read from its step map inside the row-flag loop.
+    """
+    tol = DEFAULT.norm
+    lit = [False] * (2 * t + 2)
+    lit[t] = lit[t + 1] = True
+    pairs = {}
+    for s, coins in enumerate(steps, start=1):
+        mixes = False
+        for x, m in coins.items():
+            rows = _coin_rows(t, s, x)
+            if rows is not None:
+                i, j = rows.start, rows.start + s
+                a, b, c, d = m.ravel().tolist() if m.ndim == 2 else m.reshape(-1, 4).T
+                mixes = mixes | (lit[i] & lit[j] & ((abs(a * b) > tol) | (abs(c * d) > tol)))
+                lit[i], lit[j] = (((abs(a) > tol) & lit[i]) | ((abs(b) > tol) & lit[j]),
+                                  ((abs(c) > tol) & lit[i]) | ((abs(d) > tol) & lit[j]))
+        if s >= 3 and _some(mixes):
+            pairs[(s - 2, s - 1)] = mixes
+    ports = tuple(2 * k - t for k in range(t + 1) if _some(lit[k] | lit[t + 1 + k]))
+    return ports, pairs

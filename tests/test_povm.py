@@ -481,27 +481,28 @@ def test_the_scalar_peel_equals_the_numpy_peel():
 
 def test_each_coin_is_checked_once(monkeypatch):
     # synthesize walks the coins it made without a schedule; the caller's schedule
-    # checks its 3(n - 1) coins, NOTs included, when it is built, and nothing that
-    # reads a built schedule checks them again
-    original, calls = walk.validate_coin, []
+    # checks its 3(n - 1) coins, NOTs included, as one stack when it is built, and
+    # nothing that reads a built schedule checks them again
+    original, calls = walk._unitary, []
 
-    def counting(matrix, **where):
-        calls.append(where)
-        return original(matrix, **where)
+    def counting(coins):
+        calls.append(coins.shape)
+        return original(coins)
 
+    monkeypatch.setattr(walk, "_unitary", counting)
     for module in (walk, optics):
-        monkeypatch.setattr(module, "validate_coin", counting)
+        monkeypatch.setattr(module, "validate_coin", lambda *a, **k: calls.append("one coin"))
     mats = random_rank1_povm(np.random.default_rng(5), 8)
     pairs, _ = synthesize(PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats)))
     assert calls == []
     schedule = build_circuit(pairs)
-    assert len(calls) == 21 and all("step" in where for where in calls)
+    assert calls == [(21, 2, 2)]
     optics.compile_netlist(schedule)
     extract_povm(schedule)
     run_density(schedule, [1.0, 0.0])
     optics.output_ports(schedule)
     optics.interferometers(schedule)
-    assert len(calls) == 21
+    assert calls == [(21, 2, 2)]
 
 
 @pytest.mark.parametrize("call", ["synthesize", "usd_sweep", "extract_povm"])

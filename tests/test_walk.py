@@ -6,9 +6,11 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+import oracle
 import walkpovm
 from conftest import random_unitary
 from walkpovm.walk import (
+    IDENTITY_COIN,
     L,
     NOT_COIN,
     R,
@@ -18,10 +20,11 @@ from walkpovm.walk import (
     position_distribution,
     run,
 )
-from walkpovm import cli
+from walkpovm import cli, povm
 from walkpovm.experiment import ImperfectionConfig
 from walkpovm.optics import state_prep_angles
-from walkpovm.povm import IterationPair, PovmElement, PovmSet, build_circuit, scenario_schedule
+from walkpovm.povm import (IterationPair, PovmElement, PovmSet, build_circuit, extract_povm,
+                           scenario_schedule, trine_scenario)
 from walkpovm.walk import (_reach, coin_column, complex_from_json, complex_to_json, decoding,
                            validate_coin)
 
@@ -141,6 +144,77 @@ def test_schedule_json_round_trip():
 def test_schedule_rejects_non_unitary_naming_step_and_position():
     with pytest.raises(ValidationError, match=r"position 2 in step 2"):
         CoinSchedule([{0: NOT_COIN}, {2: np.array([[1, 0], [1, 1]])}])
+
+
+def test_a_schedule_keeps_its_own_read_only_coins():
+    m = np.array(NOT_COIN)
+    schedule = CoinSchedule([{0: IDENTITY_COIN}, {1: m, -1: NOT_COIN}])
+    m[:] = 5 * np.eye(2)  # the caller's array, not the schedule's
+    np.testing.assert_array_equal(schedule.steps[1][1], NOT_COIN)
+    assert extract_povm(schedule).completeness_residual <= 1e-15
+    # the maps keep the order they were given in; the stack is in slot order
+    assert list(schedule.steps[1]) == [1, -1]
+    assert schedule.slots == ((0, 1), (-1, 2), (1, 2))
+    assert np.shares_memory(schedule.steps[1][1], schedule.coins)
+    for write in (lambda: schedule.steps[1][1].__setitem__((0, 0), 0.0),
+                  lambda: schedule.coins.__setitem__((0, 0, 0), 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+
+
+@pytest.mark.parametrize("coin", ["IDENTITY_COIN", "NOT_COIN", "HADAMARD_LIKE", "_TILT"])
+def test_the_package_coins_are_read_only(coin):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(povm, coin)[0, 0] = 5.0
+
+
+def test_the_built_in_scenarios_hand_out_read_only_coins():
+    # writing into a returned coin would change every later circuit in the process
+    for c in (c for pair in trine_scenario() for c in (pair.c1, pair.c2)):
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 5.0
+
+
+# each entry of a coin takes each of these in turn; they must all be rejected before
+# any is squared, with the slot named, and with no numpy warning (an error in this suite)
+_HOSTILE_ENTRIES = [float("nan"), float("inf"), float("-inf"), "x", 1e200, -1e200,
+                    1.7e308 + 1.7e308j, complex(float("nan"), 0.0)]
+
+
+@pytest.mark.parametrize("value", _HOSTILE_ENTRIES, ids=repr)
+@pytest.mark.parametrize("entry", range(4))
+def test_stacked_unitarity_rule_rejects_hostile_entries(entry, value):
+    coin = [[1.0, 0.0], [0.0, 1.0]]
+    coin[entry // 2][entry % 2] = value
+    with pytest.raises(ValidationError, match=r"^coin operation at position 1 in step 2 "):
+        CoinSchedule([{0: NOT_COIN}, {-1: NOT_COIN, 1: coin, 3: [[0.0, 1.0], [1.0, 0.0]]}])
+    with pytest.raises(ValidationError, match=r"^coin operation at position 1 in step 2 "):
+        validate_coin(coin, position=1, step=2)
+
+
+def test_validate_coin_and_schedule_give_one_verdict_near_the_bound():
+    # |a|^2 + |c|^2 of a unitary scaled by 1 + e is about 1 + 2e, so the verdict
+    # turns near k = 5; a schedule of all of them names the first one it rejects
+    rng = np.random.default_rng(13)
+    coins = [(1.0 + k * 1e-13) * random_unitary(rng) for k in range(-12, 13) for _ in range(20)]
+    verdicts = []
+    for m in coins:
+        try:
+            validate_coin(m)
+        except ValidationError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    for m, ok in zip(coins, verdicts):
+        if ok:
+            CoinSchedule([{0: m}])
+        else:
+            with pytest.raises(ValidationError, match="^coin operation at position 0 in step 1 "):
+                CoinSchedule([{0: m}])
+    assert 0 < sum(verdicts) < len(verdicts)
+    first = verdicts.index(False)
+    with pytest.raises(ValidationError, match=f"^coin operation at position {first} in step 1 "):
+        CoinSchedule([dict(enumerate(coins))])
 
 
 def test_schedule_from_json_rejects_garbage():
@@ -348,7 +422,12 @@ def test_batched_reachability_gives_each_walk_its_own_pass():
                                     for _ in range(n - 1)]) for _ in range(b)]
         steps = [{x: m if x == -1 else np.stack([sch.steps[s][x] for sch in schedules])
                   for x, m in coins.items()} for s, coins in enumerate(schedules[0].steps)]
-        ports, pairs = _reach(schedules[0].n_steps, steps)
+        slots = schedules[0].slots
+        stack = np.stack([np.broadcast_to(steps[s - 1][x], (b, 2, 2)) for x, s in slots])
+        ports, pairs = _reach(schedules[0].n_steps, stack, slots)
+        ref_ports, ref_pairs = oracle.reach_by_coin(schedules[0].n_steps, steps)
+        assert ports == ref_ports and list(pairs) == list(ref_pairs)
+        assert all(np.array_equal(pairs[p], ref_pairs[p]) for p in pairs)
         for w, schedule in enumerate(schedules):
             own_ports, own_pairs = schedule._structure
             assert all(walks is True for walks in own_pairs.values())
