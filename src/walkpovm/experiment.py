@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .povm import (_layout, _usd_angle, _usd_columns, _usd_peel, usd_scenario,
-                   usd_success_probability)
+from .povm import _layout, _usd_angle, _usd_columns, _usd_peel, _usd_success, usd_scenario
 from .tolerances import DEFAULT
 from .walk import (CoinSchedule, ValidationError, _coin_rows, _integer, _loads, _numeral, _reach,
                    _real, _unique, coin_column, decoding)
@@ -49,8 +49,9 @@ class ImperfectionConfig:
     from the map are perfect, and a pair that is not an interferometer of the
     schedule being run is ignored.  ``port_efficiencies`` maps integer
     detection ports to relative detector efficiencies in (0, 1]; their spread
-    must stay inside ``imbalance_budget``, a finite number >= 0.  ``from_json``
-    rejects any key it does not know except the ``"seed"`` older files carry.
+    must stay inside ``imbalance_budget``, a finite number >= 0.  Both maps
+    are kept checked, behind read-only views.  ``from_json`` rejects any key it
+    does not know except the ``"seed"`` older files carry.
     """
 
     visibilities: dict = field(default_factory=dict)
@@ -68,8 +69,8 @@ class ImperfectionConfig:
                _real(eta, f"efficiency for port {port}", 0.0, 1.0, open_low=True)
                for port, eta in self.port_efficiencies.items()}
         # keep the checked values, as ints and floats, so that to_json writes what was checked
-        object.__setattr__(self, "visibilities", vis)
-        object.__setattr__(self, "port_efficiencies", eff)
+        object.__setattr__(self, "visibilities", MappingProxyType(vis))
+        object.__setattr__(self, "port_efficiencies", MappingProxyType(eff))
         object.__setattr__(self, "imbalance_budget",
                            _real(self.imbalance_budget, "imbalance_budget", 0.0))
         if eff:
@@ -80,6 +81,11 @@ class ImperfectionConfig:
                     f"efficiency imbalance {spread:.4f} exceeds budget "
                     f"{self.imbalance_budget:.4f}"
                 )
+
+    def __reduce__(self):
+        # a read-only view does not pickle; the maps it shows do
+        return type(self), (dict(self.visibilities), dict(self.port_efficiencies),
+                            self.imbalance_budget)
 
     def to_json(self) -> str:
         payload = {
@@ -369,5 +375,5 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
         draws = np.random.default_rng(int(child.generate_state(1)[0])).multinomial(total, w)
         p_hats.append(int(draws[ports.index(2 if th > 0 else 0)]) / total)
     errs = _std_error(np.array(p_hats), total).tolist()
-    return [SweepPoint(th, usd_success_probability(mag), p_hat, err)
-            for th, mag, p_hat, err in zip(thetas, mags.tolist(), p_hats, errs)]
+    return [SweepPoint(th, p, p_hat, err)
+            for th, p, p_hat, err in zip(thetas, _usd_success(mags).tolist(), p_hats, errs)]

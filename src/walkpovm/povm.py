@@ -104,7 +104,7 @@ class PovmElement:
         mean, half_gap = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
         if not mean - math.hypot(half_gap, c.real, c.imag) >= DEFAULT.psd_floor:
             raise ValidationError(f"element {label}: matrix is not positive semidefinite")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
+        object.__setattr__(self, "matrix", _frozen(0.5 * (m + m.conj().T)))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "port", _integer(port, f"element {label}: port"))
 
@@ -115,8 +115,9 @@ class PovmSet:
 
     ``build`` and ``from_json`` check each effect through ``PovmElement``.  The
     constructor checks nothing: it is for stacks the package computes, such as
-    ``extract_povm``'s.  ``completeness_residual`` (the operator-norm distance of
-    the effects' sum from 1) and ``elements`` (checked records) are built on first read.
+    ``extract_povm``'s, and keeps a read-only copy of the stack it is given.
+    ``completeness_residual`` (the operator-norm distance of the effects' sum
+    from 1) and ``elements`` (checked, read-only records) are built on first read.
     """
 
     effects: np.ndarray
@@ -124,7 +125,7 @@ class PovmSet:
     ports: tuple
 
     def __post_init__(self):
-        self.effects.setflags(write=False)
+        object.__setattr__(self, "effects", _frozen(self.effects.copy()))
 
     @cached_property
     def completeness_residual(self) -> float:
@@ -168,8 +169,11 @@ class IterationPair:
 
 
 def _layout(pairs) -> list:
-    """The peel-off steps, unchecked: c1 at x = 0, then c2 at x = 1 and a NOT at x = -1."""
-    return [step for p in pairs for step in ({0: p.c1}, {1: p.c2, -1: NOT_COIN})]
+    """The peel-off steps, unchecked: c1 at x = 0, then a NOT at x = -1 and c2 at x = 1.
+
+    Each map lists its coins in slot order, as a ``CoinSchedule``'s ``steps`` do.
+    """
+    return [step for p in pairs for step in ({0: p.c1}, {-1: NOT_COIN, 1: p.c2})]
 
 
 def build_circuit(pairs) -> CoinSchedule:
@@ -377,7 +381,12 @@ def usd_success_probability(theta: float) -> float:
 
     ``theta`` lies in [0, pi/2] (``_usd_angle``).
     """
-    return float(1.0 - np.cos(_usd_angle(theta, zero=True)))
+    return float(_usd_success(_usd_angle(theta, zero=True)))
+
+
+def _usd_success(theta):
+    """``usd_success_probability`` unchecked, for an angle or an array of angles."""
+    return 1.0 - np.cos(theta)
 
 
 _SCENARIOS = {"trine": trine_scenario, "sic": sic_scenario, "usd": usd_scenario}

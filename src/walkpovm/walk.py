@@ -17,9 +17,11 @@ itself without building a schedule.  Each input rule is written once, here:
 (a finite real in a range), ``_numeral`` (a number written as text),
 ``_complex`` (an array of numbers, never a bool or str) and ``_unitary``, the
 one unitarity test, applied to a stack of coins; ``validate_coin`` applies it
-to one.  A ``CoinSchedule`` copies its coins into one read-only stack, checks
-its positions and that stack once, when built, and finds its ports and
-interferometers once, on first use, by ``_reach``, the one reachability pass.
+to one.  A ``CoinSchedule`` copies its coins into one read-only stack in slot
+order, checks its positions and that stack once, when built, and stores
+nothing else of them: its ``steps`` maps, in the same order, are views of
+the stack built on first read.  It finds its ports and interferometers once,
+on first use, by ``_reach``, the one reachability pass.
 The package's own coins are read-only too.  Complex values cross JSON as
 ``{"re", "im"}`` cells only, and a file reader takes no object that gives one
 key twice (``_loads``).
@@ -240,39 +242,41 @@ class CoinSchedule:
     constructor copies the coins into ``coins``, one read-only (N, 2, 2)
     stack in slot order (step, then position), with ``slots`` beside it, the
     (position, step) of each, and checks the whole stack for unitarity at
-    once.  The maps in ``steps`` keep the order they were given in, and their
-    coins are read-only views of the stack.  ``_structure`` finds the ports
-    and interferometers on first use and keeps them.
+    once; the stack is the only form of the coins it stores.  ``steps``, each
+    step's position -> coin map, is built on first read, in slot order, from
+    read-only views of the stack.  ``_structure`` finds the ports and
+    interferometers on first use and keeps them.
     """
 
-    steps: tuple
+    coins: np.ndarray
+    slots: tuple
+    n_steps: int
 
     def __init__(self, steps):
-        coins, given = {}, []  # (position, step) -> coin, and each step's positions as given
-        for s, step in enumerate(steps, start=1):
-            xs = []
+        coins, n = {}, 0  # (step, position) -> coin, and the number of steps
+        for n, step in enumerate(steps, start=1):
             for x, m in step.items():
                 if type(x) is not int:  # a plain int passes _integer as it is
-                    x = _integer(x, f"coin position in step {s}")
-                m = _complex(m, _coin_name, x, s)
+                    x = _integer(x, f"coin position in step {n}")
+                m = _complex(m, _coin_name, x, n)
                 if m.shape != (2, 2):
-                    raise ValidationError(f"{_coin_name(x, s)} is not a 2x2 unitary")
-                coins[x, s] = m
-                xs.append(x)
-            given.append(xs)
-        slots = tuple((x, s) for s, xs in enumerate(given, start=1) for x in sorted(xs))
-        stack = np.array([coins[slot] for slot in slots], dtype=complex).reshape(-1, 2, 2)
+                    raise ValidationError(f"{_coin_name(x, n)} is not a 2x2 unitary")
+                coins[n, x] = m
+        keys = sorted(coins)
+        stack = np.array([coins[k] for k in keys], dtype=complex).reshape(-1, 2, 2)
+        slots = tuple((x, s) for s, x in keys)
         bad = ~_unitary(stack)
         if bad.any():
             raise ValidationError(f"{_coin_name(*slots[bad.argmax()])} is not a 2x2 unitary")
-        views = dict(zip(slots, _frozen(stack)))
-        self.__dict__.update(
-            steps=tuple({x: views[x, s] for x in xs} for s, xs in enumerate(given, start=1)),
-            coins=stack, slots=slots)
+        self.__dict__.update(coins=_frozen(stack), slots=slots, n_steps=n)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
+    @cached_property
+    def steps(self) -> tuple:
+        """Each step's position -> coin map, in slot order, built on first read and kept."""
+        maps = tuple({} for _ in range(self.n_steps))
+        for (x, s), m in zip(self.slots, self.coins):
+            maps[s - 1][x] = m
+        return maps
 
     @cached_property
     def _structure(self) -> tuple:
@@ -281,8 +285,7 @@ class CoinSchedule:
 
     def to_json(self) -> str:
         out = [
-            {"coins": [{"position": x, "matrix": complex_to_json(m)}
-                       for x, m in sorted(coins.items())]}
+            {"coins": [{"position": x, "matrix": complex_to_json(m)} for x, m in coins.items()]}
             for coins in self.steps
         ]
         return json.dumps({"steps": out}, sort_keys=True)

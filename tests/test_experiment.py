@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import oracle
 from conftest import fold_steps, random_unitary
-from walkpovm import experiment, walk
+from walkpovm import experiment, povm, walk
 from walkpovm.experiment import (
     CountTable,
     ImperfectionConfig,
@@ -205,6 +207,34 @@ def test_imperfection_config_json_round_trip():
     assert back == cfg
     data = json.loads(cfg.to_json())
     assert set(data) == {"visibilities", "port_efficiencies", "imbalance_budget"}
+
+
+def test_a_checked_imperfection_config_cannot_be_changed():
+    # a write into a kept map once let a visibility of 3.0 through: trine on psi3-2
+    # then summed to 2.83; an efficiency of 0.01 would have passed the 0.05 budget
+    cfg = ImperfectionConfig(visibilities={(1, 2): 0.9}, port_efficiencies={0: 0.99, 2: 1.0})
+    text = cfg.to_json()
+    for mapping, key, value in ((cfg.visibilities, (1, 2), 3.0),
+                                (cfg.visibilities, (3, 4), float("nan")),
+                                (cfg.port_efficiencies, 0, 0.01)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    with pytest.raises(TypeError):
+        del cfg.port_efficiencies[2]
+    assert cfg.to_json() == text
+    assert cfg == ImperfectionConfig(visibilities={(1, 2): 0.9},
+                                     port_efficiencies={0: 0.99, 2: 1.0})
+    assert sum(run_density(scenario_schedule("trine"), NAMED_STATES["psi3-2"], cfg).values()) \
+        == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_imperfection_config_pickles_and_copies():
+    cfg = ImperfectionConfig(visibilities={(1, 2): 0.9}, port_efficiencies={0: 0.99, 2: 1.0},
+                             imbalance_budget=0.02)
+    for back in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert back == cfg and back.to_json() == cfg.to_json()
+        with pytest.raises(TypeError):
+            back.visibilities[(1, 2)] = 3.0
 
 
 def test_imperfection_config_ignores_a_seed_key():
@@ -465,6 +495,21 @@ def test_sweep_walks_one_layout_whatever_its_angles(monkeypatch):
     usd_sweep([s * th for th in EDGE_ANGLES for s in (1, -1)],
               ImperfectionConfig(visibilities={(1, 2): 0.8}), total=100, seed=0)
     assert len(laid_out) == 1 and built == []
+
+
+def test_sweep_reads_its_theory_column_from_the_checked_magnitudes(monkeypatch):
+    # the magnitudes passed the angle rule once; the per-angle call checked each again
+    calls = []
+
+    def counting(theta):
+        calls.append(theta)
+        return usd_success_probability(theta)
+
+    monkeypatch.setattr(povm, "usd_success_probability", counting)
+    monkeypatch.setattr(experiment, "usd_success_probability", counting, raising=False)
+    rows = usd_sweep(GRID + [-t for t in GRID], total=100, seed=0)
+    assert calls == []
+    assert [r.p_theory for r in rows] == [usd_success_probability(abs(r.theta)) for r in rows]
 
 
 @pytest.mark.parametrize("eps", [5e-13, 1e-12])

@@ -640,6 +640,24 @@ def test_a_povm_set_s_effects_are_read_only(make):
         make().effects[0, 0, 0] = 0.5
 
 
+def test_a_povm_element_s_matrix_is_read_only():
+    # a write once changed the cached element but not the effect it came from
+    effects = extract_povm(scenario_schedule("trine"))
+    for element in (effects.elements[0], PovmElement(np.eye(2), "e", 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            element.matrix[:] = -np.eye(2)
+    np.testing.assert_array_equal(effects.elements[0].matrix, effects.effects[0])
+
+
+def test_a_povm_set_keeps_its_own_copy_of_the_callers_stack():
+    arr = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    povm_set = PovmSet(arr, ("a", "b"), (0, 2))
+    arr[1, 0, 0] = 1.0  # the caller's array stays writable, and is not the set's
+    assert arr.flags.writeable and not np.shares_memory(arr, povm_set.effects)
+    np.testing.assert_array_equal(povm_set.effects[1], np.diag([0.0, 1.0]))
+    assert povm_set.completeness_residual == 0.0
+
+
 def _extraction_schedules() -> dict:
     """Synthesised circuits for n in [2, 64], the built-ins, and Haar coins on every site
     of walks of 1 to 6 steps."""

@@ -27,6 +27,7 @@ into rho more than once in one walk.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ def test_run_density_edge_schedules(name):
     if name == "support-to-both-ends":
         assert optics.interferometers(schedule) == [(1, 2)]
         assert got[-t] > 0.01 and got[t] > 0.01
+
+
+def test_run_density_of_a_full_lattice_given_out_of_position_order():
+    # the maps list each step's Haar coins from the highest position down; the
+    # schedule walks them in slot order, and the oracles walk the maps as given
+    rng = np.random.default_rng(29)
+    for t in range(2, 8):
+        given = [{x: random_unitary(rng) for x in range(s - 1, -s, -2)} for s in range(1, t + 1)]
+        schedule, as_given = walk.CoinSchedule(given), SimpleNamespace(steps=given, n_steps=t)
+        v = _unit_vector(rng)
+        for config in visibility_configs(schedule, rng, EAGER_VISIBILITIES):
+            got = experiment.run_density(schedule, v, config)
+            assert_same_distribution(got, oracle.run_density(as_given, v, config))
+            assert_same_distribution(got, oracle.run_density_eager(as_given, v, config))
 
 
 def test_effects_are_k_dagger_k_of_each_port():

@@ -8,7 +8,7 @@ import pytest
 
 import oracle
 import walkpovm
-from conftest import random_unitary
+from conftest import random_rank1_povm, random_unitary
 from walkpovm.walk import (
     IDENTITY_COIN,
     L,
@@ -22,9 +22,9 @@ from walkpovm.walk import (
 )
 from walkpovm import cli, povm
 from walkpovm.experiment import ImperfectionConfig
-from walkpovm.optics import state_prep_angles
+from walkpovm.optics import compile_netlist, output_ports, state_prep_angles
 from walkpovm.povm import (IterationPair, PovmElement, PovmSet, build_circuit, extract_povm,
-                           scenario_schedule, trine_scenario)
+                           scenario_schedule, synthesize, trine_scenario)
 from walkpovm.walk import (_reach, coin_column, complex_from_json, complex_to_json, decoding,
                            validate_coin)
 
@@ -152,14 +152,80 @@ def test_a_schedule_keeps_its_own_read_only_coins():
     m[:] = 5 * np.eye(2)  # the caller's array, not the schedule's
     np.testing.assert_array_equal(schedule.steps[1][1], NOT_COIN)
     assert extract_povm(schedule).completeness_residual <= 1e-15
-    # the maps keep the order they were given in; the stack is in slot order
-    assert list(schedule.steps[1]) == [1, -1]
+    # the maps and the stack are both in slot order, whatever order the maps were given in
+    assert list(schedule.steps[1]) == [-1, 1]
     assert schedule.slots == ((0, 1), (-1, 2), (1, 2))
     assert np.shares_memory(schedule.steps[1][1], schedule.coins)
     for write in (lambda: schedule.steps[1][1].__setitem__((0, 0), 0.0),
                   lambda: schedule.coins.__setitem__((0, 0, 0), 0.0)):
         with pytest.raises(ValueError, match="read-only"):
             write()
+
+
+def _stored_form_schedules() -> dict:
+    """The built-ins, synthesised circuits for n in [2, 64], Haar coins on every site of
+    walks of 1 to 7 steps, and the same Haar walks with each step's map given shuffled."""
+    rng = np.random.default_rng(29)
+    schedules = {name: scenario_schedule(name) for name in ("trine", "sic")}
+    schedules["usd-0.7"] = scenario_schedule("usd", 0.7)
+    for n in range(2, 65):
+        mats = random_rank1_povm(rng, n)
+        target = PovmSet.build(PovmElement(m, f"o{i}", i) for i, m in enumerate(mats))
+        schedules[f"n{n}"] = build_circuit(synthesize(target)[0])
+    for t in range(1, 8):
+        lattice = [{x: random_unitary(rng) for x in range(1 - s, s, 2)} for s in range(1, t + 1)]
+        schedules[f"haar-t{t}"] = CoinSchedule(lattice)
+        schedules[f"haar-t{t}-shuffled"] = CoinSchedule(
+            [{x: step[x] for x in rng.permutation(list(step)).tolist()} for step in lattice])
+    return schedules
+
+
+def test_a_built_schedule_stores_only_its_coin_stack():
+    schedule = build_circuit(trine_scenario())
+    compile_netlist(schedule)
+    assert "steps" not in vars(schedule)
+    assert set(vars(schedule)) == {"coins", "slots", "n_steps", "_structure"}
+    steps = schedule.steps
+    assert schedule.steps is steps and vars(schedule)["steps"] is steps
+
+
+def test_every_step_map_lists_read_only_views_of_the_stack_in_slot_order():
+    for name, schedule in _stored_form_schedules().items():
+        steps = schedule.steps
+        assert len(steps) == schedule.n_steps, name
+        assert tuple((x, s) for s, step in enumerate(steps, start=1) for x in step) \
+            == schedule.slots, name
+        views = [m for step in steps for m in step.values()]
+        assert np.array_equal(np.array(views).reshape(-1, 2, 2), schedule.coins), name
+        for m in views:
+            assert np.shares_memory(m, schedule.coins) and not m.flags.writeable, name
+
+
+def test_a_schedule_built_from_its_own_maps_has_the_same_stack():
+    schedules = _stored_form_schedules()
+    for name, schedule in schedules.items():
+        again = CoinSchedule(schedule.steps)
+        assert np.array_equal(again.coins, schedule.coins), name
+        assert again.slots == schedule.slots and again.n_steps == schedule.n_steps, name
+        if name.endswith("-shuffled"):  # the order a map is given in changes nothing stored
+            in_order = schedules[name.removesuffix("-shuffled")]
+            assert np.array_equal(schedule.coins, in_order.coins), name
+            assert schedule.slots == in_order.slots, name
+
+
+@pytest.mark.parametrize("make, n_steps", [
+    (lambda steps: CoinSchedule(step for step in steps), 4),
+    (lambda steps: CoinSchedule(iter([])), 0),
+    (lambda steps: CoinSchedule(steps + [{}, {}]), 6),
+    (lambda steps: CoinSchedule(step for step in steps + [{}]), 5),
+], ids=["generator", "empty-generator", "trailing-empty", "generator-trailing-empty"])
+def test_a_schedule_counts_every_step_it_is_given(make, n_steps):
+    steps = [{0: NOT_COIN}, {-1: NOT_COIN, 1: IDENTITY_COIN}, {}, {0: NOT_COIN}][:n_steps]
+    schedule = make(steps)
+    listed = CoinSchedule(steps + [{}] * (n_steps - len(steps)))
+    assert schedule.n_steps == n_steps == len(schedule.steps) == listed.n_steps
+    assert output_ports(schedule) == output_ports(listed)
+    assert schedule.to_json() == listed.to_json()
 
 
 @pytest.mark.parametrize("coin", ["IDENTITY_COIN", "NOT_COIN", "HADAMARD_LIKE", "_TILT"])
