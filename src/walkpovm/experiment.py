@@ -18,9 +18,13 @@ differ; ``walk._reach`` over those coins, as one (N, B, 2, 2) stack in which
 the shared coins are broadcast, gives each angle's interferometers.
 
 ``sample_counts`` adds multinomial shot noise with a seeded, portable
-generator, and ``apply_efficiencies`` models per-port detector
-imbalance; both check and reweight through array functions over a
-trailing port axis, which the sweep applies to all its angles at once.
+generator, ``default_rng(seed)``, and ``apply_efficiencies`` models per-port
+detector imbalance; both check and reweight through array functions over a
+trailing port axis, which the sweep applies to all its angles at once.  The
+sweep draws angle i from ``default_rng`` seeded with numpy's SeedSequence
+child i of its seed, as before; ``_sweep_streams`` runs that same published
+hash (NEP 19) for all angles in one vectorised pass, so an angle's draws
+depend only on (seed, i).
 Counts, seeds and ports pass ``walk._integer``, visibilities and efficiencies
 ``walk._real``, sweep angles ``povm._usd_angle``, coins the ``walk.CoinSchedule`` they sit in.
 """
@@ -328,6 +332,108 @@ def sample_counts(dist: dict, total: int, seed: int) -> CountTable:
     return CountTable.from_counts(dict(zip(ports, draws.tolist())))
 
 
+# numpy's SeedSequence hash (NEP 19): pool size, word shift and 32-bit multipliers
+_POOL, _XSHIFT, _MASK32 = 4, 16, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's ``hashmix`` of ``value`` under ``const``: (hashed value, next const).
+
+    ``value`` is a Python int below 2^32 or a uint32 array; an array wraps mod 2^32 as
+    it goes, and the masks do the same to an int.  A numpy scalar would warn on overflow.
+    """
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> _XSHIFT, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two pool words, each an int or a uint32 array."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> _XSHIFT
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence's ``mix_entropy`` of its assembled entropy words into a fresh pool."""
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
+        pool.append(word)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL:]:
+        for dst in range(_POOL):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+    return pool
+
+
+def _pool_state(pool: list, n_words: int) -> list:
+    """SeedSequence's ``generate_state(n_words)`` as a list of uint32 words."""
+    const, words = _INIT_B, []
+    for i in range(n_words):
+        word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+        words.append(word)
+    return words
+
+
+def _sweep_streams(seed: int, count: int) -> tuple:
+    """Child seeds and PCG64 words of ``count`` angles, in one pass over all of them.
+
+    Angle i gets ``s_i = SeedSequence(seed).spawn(count)[i].generate_state(1)[0]``, and
+    ``default_rng(s_i)`` seeds its PCG64 with ``SeedSequence(s_i).generate_state(4,
+    np.uint64)``.  Both hashes run here as uint32 array operations over the angles: the
+    children share the seed's words, zero-padded to the pool, and differ only in their
+    last entropy word, the spawn key i (one word, so ``count`` stays below 2^32).
+    ``seed`` is an integer >= 0.  Returns (s, words): s (count,) uint32 and words
+    (count, 4) uint64.
+    """
+    seed = int(seed)
+    # the seed's little-endian 32-bit words ([0] for 0), zero-padded to the pool, then i
+    entropy = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy)) + [np.arange(count, dtype=np.uint32)]
+    s = _pool_state(_seed_pool(entropy), 1)[0]
+    # generate_state(4, np.uint64) reads its eight uint32 words as '<u4' pairs, low word first
+    words = np.stack(_pool_state(_seed_pool([s]), 2 * 4), axis=-1)
+    return s, words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+_STREAM_WORDS = None  # the seed-sequence class of _sweep_generators, made on its first call
+
+
+def _sweep_generators(seed: int, count: int):
+    """Angle i's generator for i < ``count``, one at a time: ``default_rng`` of numpy's
+    SeedSequence child i of ``seed``, from the words of ``_sweep_streams``.
+
+    PCG64 takes a ``numpy.random.bit_generator.ISeedSequence`` as it is.  numpy loads
+    ``numpy.random`` on first use, so the subclass is made here and not at import; a
+    registered virtual subclass would pass PCG64's check about 1 us slower an angle.
+    """
+    global _STREAM_WORDS
+    if _STREAM_WORDS is None:
+        class StreamWords(np.random.bit_generator.ISeedSequence):
+            """One angle's PCG64 words, for PCG64's one request of four uint64 words."""
+
+            def __init__(self, words: np.ndarray):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                if n_words != 4 or np.dtype(dtype) != np.uint64:
+                    raise ValueError(f"sweep stream holds 4 uint64 words, not {n_words} "
+                                     f"{np.dtype(dtype)}")
+                return self.words
+
+        _STREAM_WORDS = StreamWords
+    return (np.random.Generator(np.random.PCG64(_STREAM_WORDS(words)))
+            for words in _sweep_streams(seed, count)[1])
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     theta: float
@@ -347,13 +453,16 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     fixed unitaries, so the sweep walks ``povm._layout`` with no schedule to
     check them.  All angles walk in one batched ``_walk_density`` call; one
     ``_reach`` of the layout's coins, stacked (N, B, 2, 2) with the coins the
-    angles share broadcast, gives each angle's interferometers.  Each angle
-    gets an independent sub-stream of the seeded generator.
+    angles share broadcast, gives each angle's interferometers.  Angle i
+    draws from ``default_rng(s_i)``, where s_i is numpy's SeedSequence child i
+    of ``seed``; ``_sweep_streams`` derives every angle's PCG64 words in one
+    vectorised pass of the same hash, so an angle's draws depend only on
+    (seed, i) and match the per-angle chain bit for bit.
     """
     _check_draw(total, seed)
     config = _config(config)
     thetas = [_real(th, "sweep angle") for th in theta_values]
-    mags = np.array([_usd_angle(abs(th), "sweep angle magnitude") for th in thetas])
+    mags = _usd_angle(np.abs(np.array(thetas, dtype=float)), "sweep angle magnitude")
     if not thetas:
         return []
     # the angles' circuits differ only in the peel coin at position 1 of step 2
@@ -369,11 +478,9 @@ def usd_sweep(theta_values, config: ImperfectionConfig = None, total: int = 4000
     probs = _walk_density(n, steps, _usd_columns(np.sign(thetas), mags), damping)
     weights = _sampling_weights(ports, _reweighted(ports, probs, config.port_efficiencies))
 
-    children = np.random.SeedSequence(seed).spawn(len(thetas))
     p_hats = []
-    for th, child, w in zip(thetas, children, weights):
-        draws = np.random.default_rng(int(child.generate_state(1)[0])).multinomial(total, w)
-        p_hats.append(int(draws[ports.index(2 if th > 0 else 0)]) / total)
+    for th, rng, w in zip(thetas, _sweep_generators(seed, len(thetas)), weights):
+        p_hats.append(int(rng.multinomial(total, w)[ports.index(2 if th > 0 else 0)]) / total)
     errs = _std_error(np.array(p_hats), total).tolist()
     return [SweepPoint(th, p, p_hat, err)
             for th, p, p_hat, err in zip(thetas, _usd_success(mags).tolist(), p_hats, errs)]

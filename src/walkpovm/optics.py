@@ -106,7 +106,11 @@ class WavePlate:
 def _plate(kind: str, angle_deg: float, position: int, step: int) -> WavePlate:
     """A ``WavePlate`` of fields already checked, in the form ``__init__`` gives them."""
     plate = object.__new__(WavePlate)
-    plate.__dict__.update(kind=kind, angle_deg=angle_deg, position=position, step=step)
+    fields = plate.__dict__  # one store per key: update(**kwargs) builds a dict first
+    fields["kind"] = kind
+    fields["angle_deg"] = angle_deg
+    fields["position"] = position
+    fields["step"] = step
     return plate
 
 

@@ -357,10 +357,20 @@ def usd_scenario(theta: float) -> list:
     ]
 
 
-def _usd_angle(theta, what: str = "theta", *, zero: bool = False) -> float:
+def _usd_angle(theta, what: str = "theta", *, zero: bool = False):
     """The USD angle rule: ``theta`` as a float in (0, pi/2], or [0, pi/2] with ``zero``;
-    an angle up to ``DEFAULT.norm`` above pi/2 is taken as pi/2."""
-    return min(_real(theta, what, 0.0, np.pi / 2.0 + DEFAULT.norm, open_low=not zero), np.pi / 2.0)
+    an angle up to ``DEFAULT.norm`` above pi/2 is taken as pi/2.
+
+    ``theta`` may also be a float array of finite angles, which the rule takes in one
+    pass; where some fail, the first of them goes through the scalar rule and names it.
+    """
+    high = np.pi / 2.0 + DEFAULT.norm
+    if isinstance(theta, np.ndarray):
+        ok = ((theta >= 0.0) if zero else (theta > 0.0)) & (theta <= high)
+        if ok.all():
+            return np.minimum(theta, np.pi / 2.0)
+        theta = theta.tolist()[np.argmin(ok)]
+    return min(_real(theta, what, 0.0, high, open_low=not zero), np.pi / 2.0)
 
 
 def _usd_peel(theta) -> np.ndarray:

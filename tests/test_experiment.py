@@ -472,9 +472,94 @@ EDGE_ANGLES = [1e-13, 1e-7, 0.3, 1.0, np.pi / 2, np.pi / 2 + 5e-13, np.pi / 2 + 
 def test_sweep_equals_the_per_angle_oracle(thetas, visibility):
     cfg = ImperfectionConfig(visibilities={(1, 2): visibility},
                              port_efficiencies={-2: 0.98, 0: 0.97, 2: 1.0, 4: 0.99})
-    for config, total, seed in ((cfg, 5000, 3), (None, 40000, 11)):
+    # 2**40 and 2**129 seed with two and five entropy words, past the one word of 3 and 11
+    for config, total, seed in ((cfg, 5000, 3), (None, 40000, 11),
+                                (cfg, 5000, 2**40), (None, 40000, 2**129)):
         assert (usd_sweep(thetas, config, total=total, seed=seed)
                 == oracle.usd_sweep(thetas, config, total=total, seed=seed))
+
+
+# one to seven entropy words: 2**64 + 3 is three, 2**128 - 1 four (no zero padding),
+# 2**128 five and 2**200 seven
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**200, np.uint64(2**63)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 200])
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=lambda s: f"{type(s).__name__}-{s}")
+def test_sweep_streams_are_numpy_s_seed_sequence_chain(seed, count):
+    # angle i's child seed and PCG64 words, from numpy's own per-angle path
+    children = np.random.SeedSequence(seed).spawn(count)
+    seeds = np.array([c.generate_state(1)[0] for c in children], dtype=np.uint32)
+    words = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds],
+                     dtype=np.uint64).reshape(count, 4)
+    got_seeds, got_words = experiment._sweep_streams(seed, count)
+    assert got_seeds.dtype == np.uint32 and np.array_equal(got_seeds, seeds)
+    assert got_words.dtype == np.uint64 and np.array_equal(got_words, words)
+    weights = [0.1, 0.2, 0.3, 0.4]
+    for s, rng in zip(seeds.tolist(), experiment._sweep_generators(seed, count), strict=True):
+        assert np.array_equal(rng.multinomial(40000, weights),
+                              np.random.default_rng(s).multinomial(40000, weights))
+
+
+@pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_a_sweep_stream_gives_pcg64_only_its_four_words(request_):
+    rng = next(experiment._sweep_generators(7, 1))
+    stream = rng.bit_generator.seed_seq
+    assert isinstance(stream, np.random.bit_generator.ISeedSequence)
+    assert np.array_equal(stream.generate_state(4, np.uint64), experiment._sweep_streams(7, 1)[1][0])
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        stream.generate_state(*request_)
+
+
+def test_sweep_builds_no_seed_sequence_and_no_default_rng(monkeypatch):
+    thetas = [(-1) ** k * (0.5 + k) * np.pi / 402 for k in range(200)]
+    cfg = ImperfectionConfig(visibilities={(1, 2): 0.9}, port_efficiencies={0: 0.97, 2: 0.99})
+    expected = oracle.usd_sweep(thetas, cfg, total=40000, seed=2**40 + 5)
+    built = {"SeedSequence": 0, "default_rng": 0, "PCG64": 0}
+    real = {name: getattr(np.random, name) for name in built}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            if name == "PCG64":  # seeded from precomputed words, never from an int
+                assert isinstance(args[0], np.random.bit_generator.ISeedSequence)
+            return real[name](*args, **kwargs)
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(np.random, name, counting(name))
+    rows = usd_sweep(thetas, cfg, total=40000, seed=2**40 + 5)
+    assert built == {"SeedSequence": 0, "default_rng": 0, "PCG64": 200}
+    assert rows == expected
+
+
+def test_sweep_checks_its_magnitudes_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(theta, *args, **kwargs):
+        calls.append(theta)
+        return povm._usd_angle(theta, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_usd_angle", counting)
+    usd_sweep(GRID + [-t for t in GRID], total=100, seed=0)
+    assert len(calls) == 1 and calls[0].shape == (20,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, np.pi / 2 + 2e-12, 3.0])
+def test_an_angle_array_names_its_first_bad_angle_as_the_scalar_rule_does(bad):
+    good = np.array([1e-13, 0.3, np.pi / 2, np.pi / 2 + 5e-13])
+    assert np.array_equal(povm._usd_angle(good), [povm._usd_angle(t) for t in good.tolist()])
+
+    def message(call):
+        with pytest.raises(ValidationError) as error:
+            call()
+        return str(error.value)
+
+    scalar = message(lambda: povm._usd_angle(bad, "sweep angle magnitude"))
+    assert message(lambda: povm._usd_angle(np.array([0.3, bad, 4.0]), "sweep angle magnitude")) == scalar
+    # the sweep checks magnitudes, so -bad names abs(bad), as the per-angle check did
+    assert message(lambda: usd_sweep([-0.3, -bad, 4.0], total=100)) == message(
+        lambda: povm._usd_angle(abs(bad), "sweep angle magnitude"))
 
 
 def test_sweep_walks_one_layout_whatever_its_angles(monkeypatch):
